@@ -86,13 +86,7 @@ def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
         "value": est.value,
         "std_error": est.std_error,
         "out_of_range": est.clamped,
-        "counts": {
-            "f_II": est.counts.f_II,
-            "f_SI": est.counts.f_SI,
-            "f_IS": est.counts.f_IS,
-            "f_SS": est.counts.f_SS,
-            "shots_per_config": est.counts.shots_per_config,
-        },
+        "counts": {**est.counts.named(), "shots_per_config": est.counts.shots_per_config},
     }
 
 

@@ -16,9 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import DensityMatrix, StateError
-
-EIGENVALUE_TOL = -1e-9
+from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError
 
 
 class EncodingError(ValueError):

@@ -1,34 +1,31 @@
 """POVM-level simulation of the interferometric overlap measurement.
 
-Two copies of the compared states are laid out so that photon A carries the
-first qubit of each state and photon B the second.  Each photon is measured
-with either the identity or the singlet projection across its two degrees of
-freedom; the overlap follows from the four coincidence rates as
+Two copies of the compared states are split over n photons: photon k carries
+qubit k of each state.  Each photon is measured with either the identity (I)
+or the singlet (S) projection across its two degrees of freedom, which gives
+2^n coincidence rates per overlap.  For two qubits the overlap follows from
+the four rates as
 
     O = 1 - 2 (f_SI + f_IS - 2 f_SS) / f_II
 
 which is the trace of the pairwise SWAP (= I - 2S per photon) against the
-joint state.  The same construction works for single-qubit states with one
-photon pair and two rates.
+two copies; in general each rate carries the weight (-2)^(number of S).
+
+Every rate is a fixed linear functional of rho1 (x) rho2, so the 2^n
+probabilities of a pair come from one tensor K per qubit count, built on
+first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import (
-    BellKind,
-    DensityMatrix,
-    StateError,
-    hsd_from_overlaps,
-    make_bell,
-    permute_qubits,
-    tensor,
-)
+from qhsd.states import BellKind, DensityMatrix, StateError, hsd_from_overlaps, make_bell
 
 _NOISE_MODES = ("exact", "binomial", "poisson")
 
@@ -57,23 +54,47 @@ class NoiseModel:
             raise StateError("shots must be >= 1")
 
 
+_BITS_TO_LETTERS = str.maketrans("01", "IS")
+
+# (II, SI, IS, SS), the order of povm_probabilities and sample_counts, as
+# indices into the configuration order (II, IS, SI, SS).  The swap is its
+# own inverse, so the same indices convert both ways.
+_TWO_QUBIT_ORDER = [0, 2, 1, 3]
+
+
 @dataclass(frozen=True)
 class CoincidenceCounts:
-    """The four rates of one two-qubit overlap configuration.
+    """The 2^n rates of one n-qubit overlap configuration.
+
+    `rates` is in configuration order: bit n-1-k of the index is set when
+    photon k takes the singlet projection, so photon A is the high bit (II,
+    IS, SI, SS for two qubits).  Each rate also reads as f_<letters>, one I
+    or S per photon, photon A first: f_SI has the singlet on photon A.
 
     Counts are integers in the stochastic modes; exact mode keeps the
     unrounded expected counts so the estimator reproduces the exact overlap.
     """
 
-    f_II: float
-    f_SI: float
-    f_IS: float
-    f_SS: float
+    rates: Tuple[float, ...]
     shots_per_config: int
 
-    def as_array(self) -> np.ndarray:
-        # internal binary-counting order: II, IS, SI, SS
-        return np.array([self.f_II, self.f_IS, self.f_SI, self.f_SS])
+    @property
+    def n_qubits(self) -> int:
+        return len(self.rates).bit_length() - 1
+
+    def named(self) -> Dict[str, float]:
+        """{f_<letters>: rate} for every configuration."""
+        width = f"0{self.n_qubits}b"
+        return {
+            "f_" + format(c, width).translate(_BITS_TO_LETTERS): rate
+            for c, rate in enumerate(self.rates)
+        }
+
+    def __getattr__(self, name: str) -> float:
+        rate = self.named().get(name) if name.startswith("f_") else None
+        if rate is None:
+            raise AttributeError(name)
+        return rate
 
 
 @dataclass(frozen=True)
@@ -120,54 +141,57 @@ def swap_operator() -> np.ndarray:
     return np.eye(4) - 2.0 * _SINGLET
 
 
-def arrange_joint_state(rho1: DensityMatrix, rho2: DensityMatrix) -> DensityMatrix:
-    """Joint state of the two copies, regrouped per photon: qubit k of rho1
-    and qubit k of rho2 sit next to each other (photon k)."""
-    if rho1.dim != rho2.dim:
-        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    n = rho1.n_qubits
-    joint = tensor(rho1, rho2)
-    order = []
-    for k in range(n):
-        order += [k, n + k]
-    return permute_qubits(joint, order)
-
-
 def _configs(n: int) -> List[Tuple[int, ...]]:
     """All identity/singlet choices per photon; 1 = singlet.  Binary counting
     order, so (0,...,0) comes first."""
     return list(itertools.product((0, 1), repeat=n))
 
 
-def _config_operators(n: int) -> List[np.ndarray]:
-    ident = np.eye(4)
-    ops = []
-    for cfg in _configs(n):
-        op = np.array([[1.0]])
+@lru_cache(maxsize=None)
+def _povm_functional(n: int) -> np.ndarray:
+    """K of shape (2^n, D^2, D^2), D = 2^n, such that configuration c has
+    probability vec(rho1) . K[c] . vec(rho2), vec flattening row-major.
+
+    K[c] is the configuration's projector on the two copies, whose indices
+    run photon by photon (qubit k of rho1, qubit k of rho2), regrouped as
+    (rho1 row, rho1 column) x (rho2 row, rho2 column).  Its entries are real
+    but stored complex, so the product with a density matrix needs no cast."""
+    d = 2 ** n
+    rows = np.arange(2 * n)
+    cols = rows + 2 * n
+    axes = [*cols[0::2], *rows[0::2], *cols[1::2], *rows[1::2]]
+    singlet = np.real(_SINGLET)
+    k = np.empty((2 ** n, d * d, d * d), dtype=complex)
+    for c, cfg in enumerate(_configs(n)):
+        op = np.ones((1, 1))
         for bit in cfg:
-            op = np.kron(op, _SINGLET if bit else ident)
-        ops.append(op)
-    return ops
+            op = np.kron(op, singlet if bit else np.eye(4))
+        k[c] = op.reshape((2,) * (4 * n)).transpose(axes).reshape(d * d, d * d)
+    k.setflags(write=False)
+    return k
 
 
-def _config_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    joint = arrange_joint_state(rho1, rho2).matrix
-    return np.array(
-        [float(np.real(np.trace(op @ joint))) for op in _config_operators(rho1.n_qubits)]
-    )
+def _probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Probabilities of the 2^n configurations, in configuration order."""
+    if rho1.dim != rho2.dim:
+        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    k = _povm_functional(rho1.n_qubits)
+    return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
 
 
+@lru_cache(maxsize=None)
 def _config_weights(n: int) -> np.ndarray:
     """Estimator weights (-2)^(number of singlet projections)."""
-    return np.array([(-2.0) ** sum(cfg) for cfg in _configs(n)])
+    w = np.array([(-2.0) ** sum(cfg) for cfg in _configs(n)])
+    w.setflags(write=False)
+    return w
 
 
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> Tuple[float, float, float, float]:
     """(p_II, p_SI, p_IS, p_SS) for two-qubit inputs; first letter photon A."""
     if rho1.dim != 4 or rho2.dim != 4:
         raise StateError("povm_probabilities expects two-qubit states")
-    p_ii, p_is, p_si, p_ss = _config_probabilities(rho1, rho2)
-    return (p_ii, p_si, p_is, p_ss)
+    return tuple(_probabilities(rho1, rho2)[_TWO_QUBIT_ORDER])
 
 
 def von_neumann_projections(povm: str) -> List[np.ndarray]:
@@ -222,10 +246,8 @@ def sample_counts(
 ) -> CoincidenceCounts:
     """Draw the four two-qubit coincidence rates for given POVM
     probabilities (p_II, p_SI, p_IS, p_SS)."""
-    p_ii, p_si, p_is, p_ss = probabilities
-    counts = _draw_counts(np.array([p_ii, p_is, p_si, p_ss]), noise, stream_key)
-    f_ii, f_is, f_si, f_ss = counts
-    return CoincidenceCounts(f_ii, f_si, f_is, f_ss, noise.shots)
+    probs = np.asarray(probabilities, dtype=float)[_TWO_QUBIT_ORDER]
+    return CoincidenceCounts(tuple(_draw_counts(probs, noise, stream_key).tolist()), noise.shots)
 
 
 def _estimate_from_arrays(
@@ -251,8 +273,9 @@ def _estimate_from_arrays(
 
 def estimate_overlap(counts: CoincidenceCounts, mode: str = "binomial") -> OverlapEstimate:
     """Overlap and first-order-propagated uncertainty from coincidence rates."""
-    arr = counts.as_array()
-    value, err = _estimate_from_arrays(arr, _config_weights(2), counts.shots_per_config, mode)
+    value, err = _estimate_from_arrays(
+        np.array(counts.rates), _config_weights(counts.n_qubits), counts.shots_per_config, mode
+    )
     return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, counts)
 
 
@@ -262,17 +285,8 @@ def measure_overlap(
     noise: NoiseModel,
     stream_key: Sequence[int] = (),
 ) -> OverlapEstimate:
-    n = rho1.n_qubits
-    probs = _config_probabilities(rho1, rho2)
-    counts = _draw_counts(probs, noise, stream_key)
-    value, err = _estimate_from_arrays(counts, _config_weights(n), noise.shots, noise.mode)
-    if n == 2:
-        f_ii, f_is, f_si, f_ss = counts
-        cc = CoincidenceCounts(f_ii, f_si, f_is, f_ss, noise.shots)
-    else:
-        # single-photon-pair geometry: only the I and S rates exist
-        cc = CoincidenceCounts(counts[0], counts[1], 0.0, 0.0, noise.shots)
-    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, cc)
+    counts = _draw_counts(_probabilities(rho1, rho2), noise, stream_key)
+    return estimate_overlap(CoincidenceCounts(tuple(counts.tolist()), noise.shots), noise.mode)
 
 
 @dataclass(frozen=True)
@@ -314,15 +328,12 @@ def ensemble_measure(
 ) -> OverlapEstimate:
     """Overlap of two convex mixtures, accumulated member pair by member
     pair with shots apportioned by the weight products."""
-    n = spec1.members[0][1].n_qubits
-    if n != 2:
-        raise StateError("ensemble_measure expects two-qubit members")
-    total = np.zeros(4)
+    total = np.zeros(2 ** spec1.members[0][1].n_qubits)
     shots_total = 0
     for i, (w1, s1) in enumerate(spec1.members):
         for j, (w2, s2) in enumerate(spec2.members):
             w = w1 * w2
-            probs = _config_probabilities(s1, s2)
+            probs = _probabilities(s1, s2)
             if noise.mode == "exact":
                 total += noise.shots * w * probs
                 shots_total = noise.shots
@@ -333,20 +344,17 @@ def ensemble_measure(
                 pair_noise = NoiseModel(noise.mode, pair_shots, noise.seed)
                 total += _draw_counts(probs, pair_noise, (*stream_key, i, j))
                 shots_total += pair_shots
-    value, err = _estimate_from_arrays(total, _config_weights(2), shots_total, noise.mode)
-    f_ii, f_is, f_si, f_ss = total
-    cc = CoincidenceCounts(f_ii, f_si, f_is, f_ss, shots_total)
-    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, cc)
+    return estimate_overlap(CoincidenceCounts(tuple(total.tolist()), shots_total), noise.mode)
 
 
 def plan_measurements(n_qubits: int, method: str) -> int:
-    """POVM-setting count of one distance: 3 overlap configurations with 4
+    """POVM-setting count of one distance: 3 overlap configurations with 2^n
     POVMs each, against the 2(D^2 - 1) + 2 settings of two state
     reconstructions."""
     if n_qubits < 1:
         raise StateError("n_qubits must be >= 1")
     if method == "overlap":
-        return 12
+        return 3 * 2 ** n_qubits
     if method == "tomography":
         d = 2 ** n_qubits
         return 2 * (d ** 2 - 1) + 2

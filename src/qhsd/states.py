@@ -15,7 +15,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = -1e-9
-EQUALITY_TOL = 1e-8
 
 
 class StateError(ValueError):
@@ -183,10 +182,6 @@ def permute_qubits(a: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     t = a.matrix.reshape((2,) * (2 * n))
     t = t.transpose(order + [n + o for o in order])
     return DensityMatrix(t.reshape(a.dim, a.dim))
-
-
-def states_close(a: DensityMatrix, b: DensityMatrix, tol: float = EQUALITY_TOL) -> bool:
-    return hsd_exact(a, b) <= tol
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -79,6 +79,25 @@ def test_simulate_report(capsys):
     assert abs(report["d2"]) < 0.1
 
 
+@pytest.mark.parametrize("dim, povms", [
+    (2, ["I", "S"]),
+    (8, ["III", "IIS", "ISI", "ISS", "SII", "SIS", "SSI", "SSS"]),
+])
+def test_simulate_report_reports_every_rate(capsys, dim, povms):
+    code, out, _ = run(capsys, "simulate", f"mixed:dim={dim}", f"mixed:dim={dim}",
+                       "--noise", "binomial", "--shots", "100000", "--seed", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["measurement_plan"]["overlap_povms"] == 3 * len(povms)
+    for est in report["overlaps"].values():
+        counts = est["counts"]
+        assert set(counts) == {f"f_{p}" for p in povms} | {"shots_per_config"}
+        # the reported rates alone reproduce the reported overlap
+        acc = sum((-2.0) ** p.count("S") * counts[f"f_{p}"] for p in povms[1:])
+        assert est["value"] == pytest.approx(1.0 + acc / counts[f"f_{povms[0]}"], abs=1e-12)
+        assert est["value"] == pytest.approx(1.0 / dim, abs=0.05)
+
+
 def test_simulate_exact_matches_distance(capsys):
     _, sim_out, _ = run(capsys, "simulate", "werner:p=0.2", "werner:p=0.9")
     _, dist_out, _ = run(capsys, "distance", "werner:p=0.2", "werner:p=0.9")

@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhsd.interferometry import (
     CoincidenceCounts,
     EnsembleSpec,
     EstimationError,
     NoiseModel,
-    arrange_joint_state,
+    _probabilities,
     ensemble_measure,
     estimate_overlap,
     measure_hsd,
@@ -20,6 +24,7 @@ from qhsd.interferometry import (
 )
 from qhsd.states import (
     BellKind,
+    DensityMatrix,
     StateError,
     hsd_exact,
     make_bell,
@@ -27,10 +32,52 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
+    permute_qubits,
     pure_state,
     random_mixed,
     tensor,
 )
+
+
+# Reference for the configuration probabilities: the joint state of the two
+# copies with each photon's POVM operator applied to it explicitly.
+
+def arrange_joint_state(rho1, rho2):
+    """Joint state of the two copies, regrouped per photon: qubit k of rho1
+    and qubit k of rho2 sit next to each other (photon k)."""
+    if rho1.dim != rho2.dim:
+        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    n = rho1.n_qubits
+    order = [q for k in range(n) for q in (k, n + k)]
+    return permute_qubits(tensor(rho1, rho2), order)
+
+
+def joint_state_probabilities(rho1, rho2):
+    """Tr(P_c joint) for every configuration c, in binary-counting order
+    (photon A is the high bit, 1 = singlet)."""
+    joint = arrange_joint_state(rho1, rho2).matrix
+    probs = []
+    for cfg in itertools.product((0, 1), repeat=rho1.n_qubits):
+        op = np.ones((1, 1))
+        for bit in cfg:
+            op = np.kron(op, singlet_projector() if bit else np.eye(4))
+        probs.append(np.real(np.trace(op @ joint)))
+    return np.array(probs)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two random density matrices A A^dag / Tr of 1 to 3 qubits."""
+    dim = 2 ** draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    pair = []
+    for _ in range(2):
+        a = np.array(draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+        a = (a[::2] + 1j * a[1::2]).reshape(dim, dim)
+        m = a @ a.conj().T
+        tr = np.real(np.trace(m))
+        pair.append(DensityMatrix(m / tr) if tr > 1e-3 else maximally_mixed(dim))
+    return tuple(pair)
 
 
 def test_singlet_projector_properties():
@@ -61,6 +108,18 @@ def test_arrange_joint_state():
     assert np.abs(ev1 - ev2).max() < 1e-10
     with pytest.raises(StateError):
         arrange_joint_state(mm, maximally_mixed(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_pairs())
+def test_probabilities_match_joint_state_oracle(pair):
+    a, b = pair
+    p = _probabilities(a, b)
+    assert np.abs(p - joint_state_probabilities(a, b)).max() <= 1e-14
+    assert p[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.all((p >= -1e-14) & (p <= 1.0 + 1e-14))  # [0, 1] up to rounding
+    with pytest.raises(StateError):
+        _probabilities(a, maximally_mixed(2 * a.dim))
 
 
 def test_povm_probabilities_maximally_mixed():
@@ -138,14 +197,14 @@ def test_sample_counts_binomial_mean():
 
 
 def test_estimate_overlap_arithmetic():
-    counts = CoincidenceCounts(1600, 400, 400, 100, 1600)
+    counts = CoincidenceCounts((1600, 400, 400, 100), 1600)
     est = estimate_overlap(counts)
     assert est.value == pytest.approx(0.25, abs=1e-12)
     assert not est.clamped
-    quiet = estimate_overlap(CoincidenceCounts(1000, 0, 0, 0, 1000))
+    quiet = estimate_overlap(CoincidenceCounts((1000, 0, 0, 0), 1000))
     assert quiet.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EstimationError):
-        estimate_overlap(CoincidenceCounts(0, 1, 1, 1, 10))
+        estimate_overlap(CoincidenceCounts((0, 1, 1, 1), 10))
 
 
 def test_overlap_coverage_orthogonal_bells():
@@ -235,6 +294,8 @@ def test_ensemble_measure_single_member_reduces():
     b = EnsembleSpec(((1.0, make_bell(BellKind.PSI_MINUS)),))
     est = ensemble_measure(a, b, noise)
     assert est.value == pytest.approx(0.0, abs=1e-9)
+    qubit = EnsembleSpec(((1.0, maximally_mixed(2)),))
+    assert ensemble_measure(qubit, qubit, noise).value == pytest.approx(0.5, abs=1e-9)
 
 
 def test_ensemble_measure_werner_decomposition():
@@ -254,7 +315,9 @@ def test_ensemble_weights_validated():
 
 
 def test_plan_measurements():
+    assert plan_measurements(1, "overlap") == 6
     assert plan_measurements(2, "overlap") == 12
+    assert plan_measurements(3, "overlap") == 24
     assert plan_measurements(2, "tomography") == 32
     assert plan_measurements(1, "tomography") == 8
     with pytest.raises(StateError):

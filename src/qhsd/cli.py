@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from qhsd import clustering, interferometry, states
+from qhsd import clustering, encoding, interferometry, states
 from qhsd.encoding import EncodingError
 from qhsd.interferometry import EstimationError, NoiseModel
-from qhsd.states import BellKind, DensityMatrix, StateError
+from qhsd.states import EIGENVALUE_TOL, BellKind, DensityMatrix, StateError
 
 SCHEMA_VERSION = 1
 
@@ -27,13 +27,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
-
-_BELL_ALIASES = {
-    "phi+": BellKind.PHI_PLUS,
-    "phi-": BellKind.PHI_MINUS,
-    "psi+": BellKind.PSI_PLUS,
-    "psi-": BellKind.PSI_MINUS,
-}
 
 BELL_ORDER = ["phi+", "phi-", "psi+", "psi-"]
 SEPARABLE_ORDER = ["00", "11", "01", "10"]
@@ -46,39 +39,44 @@ REPRODUCE_TARGETS = (
     "clusters_demo",
 )
 
+# The parameter an inline `name:value` sets; the other named states take
+# `name:key=value`.
+_INLINE_LABELS = {"bell": "kind", "separable": "bits"}
+
 
 def parse_state_spec(spec: str) -> DensityMatrix:
-    """Either a path to a state JSON file or an inline named form such as
-    bell:phi+, separable:01, werner:p=0.5, horodecki:q=0.3, mixed:dim=4."""
+    """A path to a state JSON file, or an inline shorthand for a named state
+    (bell:phi+, separable:01, werner:p=0.5, horodecki:q=0.3, mixed:dim=4,
+    mixed), read by the same state_from_json as the file."""
     if os.path.exists(spec):
         with open(spec) as fh:
-            return states.state_from_json(json.load(fh))
+            obj = json.load(fh)
+    else:
+        obj = _inline_json(spec)
+    try:
+        return states.state_from_json(obj)
+    except StateError as exc:
+        raise StateError(f"state {spec!r}: {exc}") from None
+
+
+def _inline_json(spec: str) -> dict:
+    """bell:phi+ -> {"named": "bell", "params": {"kind": "phi+"}},
+    werner:p=0.5 -> {"named": "werner", "params": {"p": "0.5"}}."""
     name, _, arg = spec.partition(":")
-    if name == "bell":
-        if arg not in _BELL_ALIASES:
-            raise StateError(f"unknown bell state {arg!r}")
-        return states.make_bell(_BELL_ALIASES[arg])
-    if name == "separable":
-        return states.make_separable(arg)
-    if name == "werner":
-        return states.make_werner(_named_value(arg, "p"))
-    if name == "horodecki":
-        return states.make_horodecki(_named_value(arg, "q"))
-    if name == "mixed":
-        dim = int(_named_value(arg, "dim")) if arg else 4
-        return states.maximally_mixed(dim)
-    raise StateError(f"cannot parse state spec {spec!r} (not a file, not a named form)")
-
-
-def _named_value(arg: str, key: str) -> float:
-    k, _, v = arg.partition("=")
-    if k != key or not v:
-        raise StateError(f"expected {key}=<value>, got {arg!r}")
-    return float(v)
+    if not arg:
+        return {"named": name}
+    if name in _INLINE_LABELS:
+        return {"named": name, "params": {_INLINE_LABELS[name]: arg}}
+    key, _, value = arg.partition("=")
+    return {"named": name, "params": {key: value}}
 
 
 def _noise_from_args(args) -> NoiseModel:
     return NoiseModel(args.noise, args.shots, args.seed)
+
+
+def _noise_dict(noise: NoiseModel) -> dict:
+    return {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed}
 
 
 def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
@@ -91,47 +89,48 @@ def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+    report = {"schema_version": SCHEMA_VERSION, **payload}
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _distance_report(a: DensityMatrix, b: DensityMatrix, mode: str, noise: NoiseModel) -> dict:
-    if mode == "exact":
-        o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
-        value, clamped = states.hsd_from_overlaps(o11, o22, o12)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "exact",
-            "hsd": value,
-            "d2": o11 + o22 - 2.0 * o12,
-            "clamped": clamped,
-            "overlaps": {"o11": o11, "o22": o22, "o12": o12},
-        }
-    m = interferometry.measure_hsd(a, b, noise)
+def _exact_report(a: DensityMatrix, b: DensityMatrix) -> dict:
+    """Exact distance, with d2 assembled from the three overlaps as the
+    measurement assembles it."""
+    o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
+    value, clamped = states.hsd_from_overlaps(o11, o22, o12)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "simulated",
-        "noise": {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed},
+        "hsd": value,
+        "d2": o11 + o22 - 2.0 * o12,
+        "clamped": clamped,
+        "overlaps": {"o11": o11, "o22": o22, "o12": o12},
+    }
+
+
+def _simulated_report(m: interferometry.HsdMeasurement) -> dict:
+    return {
         "hsd": m.value,
         "d2": m.d2,
         "d2_std_error": m.d2_std_error,
         "clamped": m.clamped,
-        "overlaps": {
-            "o11": _overlap_dict(m.overlaps[0]),
-            "o22": _overlap_dict(m.overlaps[1]),
-            "o12": _overlap_dict(m.overlaps[2]),
-        },
+        "overlaps": {k: _overlap_dict(o) for k, o in zip(("o11", "o22", "o12"), m.overlaps)},
     }
 
 
 def cmd_distance(args) -> int:
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
-    _emit(_distance_report(a, b, args.mode, _noise_from_args(args)), args)
+    noise = _noise_from_args(args)
+    if args.mode == "exact":
+        payload = {"mode": "exact", **_exact_report(a, b)}
+    else:
+        m = interferometry.measure_hsd(a, b, noise)
+        payload = {"mode": "simulated", "noise": _noise_dict(noise), **_simulated_report(m)}
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -139,20 +138,11 @@ def cmd_overlap(args) -> int:
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
     if args.mode == "exact":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "exact",
-            "overlap": states.overlap_exact(a, b),
-        }
+        payload = {"mode": "exact", "overlap": states.overlap_exact(a, b)}
     else:
         noise = _noise_from_args(args)
         est = interferometry.measure_overlap(a, b, noise)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "simulated",
-            "noise": {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed},
-            "overlap": _overlap_dict(est),
-        }
+        payload = {"mode": "simulated", "noise": _noise_dict(noise), "overlap": _overlap_dict(est)}
     _emit(payload, args)
     return EXIT_OK
 
@@ -163,25 +153,12 @@ def cmd_simulate(args) -> int:
     noise = _noise_from_args(args)
     m = interferometry.measure_hsd(a, b, noise)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "inputs": {
-            "state_a": args.state_a,
-            "state_b": args.state_b,
-            "noise": {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed},
-        },
+        "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": _noise_dict(noise)},
         "measurement_plan": {
             "overlap_povms": interferometry.plan_measurements(a.n_qubits, "overlap"),
             "tomography_settings": interferometry.plan_measurements(a.n_qubits, "tomography"),
         },
-        "overlaps": {
-            "o11": _overlap_dict(m.overlaps[0]),
-            "o22": _overlap_dict(m.overlaps[1]),
-            "o12": _overlap_dict(m.overlaps[2]),
-        },
-        "hsd": m.value,
-        "d2": m.d2,
-        "d2_std_error": m.d2_std_error,
-        "clamped": m.clamped,
+        **_simulated_report(m),
     }
     _emit(payload, args)
     return EXIT_OK
@@ -213,31 +190,55 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
 
 
-def cmd_cluster(args) -> int:
-    points = _read_points_csv(args.points)
-    noise = _noise_from_args(args) if args.backend == "hsd_simulated" else None
-    backend = clustering.make_backend(args.backend, noise)
-    result = clustering.kmeans(
-        points, args.k, init_seed=args.seed, max_iter=args.max_iter, backend=backend
-    )
-    os.makedirs(args.out_dir, exist_ok=True)
+def _check_points(points: np.ndarray, source: str, backend_kind: str) -> None:
+    """Reject non-finite rows and, for the hsd backends (which encode without
+    validating), rows that encode outside the state space.  Rows are
+    numbered as in labels.csv."""
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise StateError(f"{source} row {bad[0]} is not finite: {points[bad[0]].tolist()}")
+    if backend_kind == "euclidean":
+        return
+    lam = encoding.min_eigenvalues(points)
+    bad = np.flatnonzero(lam < EIGENVALUE_TOL)
+    if bad.size:
+        raise EncodingError(
+            f"{source} row {bad[0]} encodes outside the state space: "
+            f"min eigenvalue {lam[bad[0]]:.3e}"
+        )
+
+
+def _cluster(
+    points: np.ndarray, source: str, backend, k: int, seed: int, max_iter: int, out_dir: str
+) -> None:
+    """k-means over checked points; writes labels.csv and model.json."""
+    _check_points(points, source, backend.kind)
+    result = clustering.kmeans(points, k, init_seed=seed, max_iter=max_iter, backend=backend)
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
-        os.path.join(args.out_dir, "labels.csv"),
+        os.path.join(out_dir, "labels.csv"),
         ["index", "label"],
         [(i, int(l)) for i, l in enumerate(result.labels)],
     )
     model = {
         "schema_version": SCHEMA_VERSION,
-        "backend": args.backend,
-        "k": args.k,
-        "seed": args.seed,
+        "backend": backend.kind,
+        "k": k,
+        "seed": seed,
         "iterations": result.iterations,
         "cost": result.cost,
         "centroids": result.model.centroids.tolist(),
         "centroid_trace": [c.tolist() for c in result.centroid_trace],
     }
-    with open(os.path.join(args.out_dir, "model.json"), "w") as fh:
+    with open(os.path.join(out_dir, "model.json"), "w") as fh:
         fh.write(json.dumps(model, indent=2, sort_keys=True) + "\n")
+
+
+def cmd_cluster(args) -> int:
+    points = _read_points_csv(args.points)
+    noise = _noise_from_args(args) if args.backend == "hsd_simulated" else None
+    backend = clustering.make_backend(args.backend, noise)
+    _cluster(points, args.points, backend, args.k, args.seed, args.max_iter, args.out_dir)
     return EXIT_OK
 
 
@@ -247,13 +248,7 @@ def _simulated_d2(a: DensityMatrix, b: DensityMatrix, noise: NoiseModel, key) ->
 
 def _state_table(names: List[str], factory, noise: NoiseModel, out_dir: str, stem: str) -> None:
     mats = [factory(n) for n in names]
-    rows = []
-    for i, a in enumerate(mats):
-        row = [names[i]]
-        for j, b in enumerate(mats):
-            o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
-            row.append(o11 + o22 - 2.0 * o12)
-        rows.append(row)
+    rows = [[name] + [_exact_report(a, b)["d2"] for b in mats] for name, a in zip(names, mats)]
     _write_csv(os.path.join(out_dir, f"{stem}.csv"), [""] + names, rows)
     if noise.mode != "exact":
         sim_rows = []
@@ -271,7 +266,7 @@ def cmd_reproduce(args) -> int:
     target = args.target
     if target == "bell_table":
         _state_table(
-            BELL_ORDER, lambda n: states.make_bell(_BELL_ALIASES[n]), noise, args.out_dir, "bell_table"
+            BELL_ORDER, lambda n: states.make_bell(BellKind(n)), noise, args.out_dir, "bell_table"
         )
     elif target == "separable_table":
         _state_table(
@@ -300,17 +295,8 @@ def cmd_reproduce(args) -> int:
     elif target == "clusters_demo":
         points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
         _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points)
-        cluster_args = argparse.Namespace(
-            points=os.path.join(args.out_dir, "points.csv"),
-            k=2,
-            backend="hsd_exact",
-            seed=args.seed,
-            max_iter=100,
-            out_dir=args.out_dir,
-            noise=args.noise,
-            shots=args.shots,
-        )
-        cmd_cluster(cluster_args)
+        backend = clustering.ExactHsdBackend()
+        _cluster(points, "points.csv", backend, 2, args.seed, 100, args.out_dir)
     else:
         raise StateError(f"unknown reproduce target {target!r}")
     return EXIT_OK
@@ -323,7 +309,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--noise", choices=["exact", "binomial", "poisson"], default="exact",
         help="counting-statistics model",
     )
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:

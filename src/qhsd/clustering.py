@@ -70,7 +70,6 @@ def make_backend(kind: str, noise: Optional[NoiseModel] = None):
 @dataclass(frozen=True)
 class ClusterModel:
     centroids: np.ndarray  # (k, n_features)
-    iteration: int = 0
 
     @property
     def k(self) -> int:
@@ -114,26 +113,17 @@ def update_centroids(
         else:
             far = np.argmax(((points - centroids[j]) ** 2).sum(axis=1))
             centroids[j] = points[far]
-    return ClusterModel(centroids, model.iteration + 1)
+    return ClusterModel(centroids)
 
 
-def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator, method: str) -> np.ndarray:
+def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k of the distinct points, drawn without replacement and kept in
+    sorted order."""
     distinct = np.unique(points, axis=0)
     if k > distinct.shape[0]:
         raise StateError(f"k={k} exceeds the {distinct.shape[0]} distinct points")
-    if method == "random":
-        idx = rng.choice(distinct.shape[0], size=k, replace=False)
-        return distinct[np.sort(idx)].copy()
-    if method == "kmeans++":
-        centroids = [points[rng.integers(points.shape[0])]]
-        while len(centroids) < k:
-            d2 = np.min(
-                [((points - c) ** 2).sum(axis=1) for c in centroids], axis=0
-            )
-            probs = d2 / d2.sum() if d2.sum() > 0 else np.full(points.shape[0], 1 / points.shape[0])
-            centroids.append(points[rng.choice(points.shape[0], p=probs)])
-        return np.array(centroids)
-    raise StateError(f"unknown init method {method!r}")
+    idx = rng.choice(distinct.shape[0], size=k, replace=False)
+    return distinct[np.sort(idx)].copy()
 
 
 def kmeans(
@@ -142,21 +132,18 @@ def kmeans(
     init_seed: int = 0,
     max_iter: int = 100,
     backend=None,
-    init: str = "random",
-    patience: Optional[int] = None,
 ) -> KMeansResult:
     """Lloyd iteration: assign, then move centroids to cluster means, until
-    labels stop changing (for `patience` consecutive passes under a noisy
-    backend) or max_iter is reached."""
+    labels stop changing (for 3 consecutive passes under the noisy
+    hsd_simulated backend) or max_iter is reached."""
     points = np.asarray(points, dtype=float)
     if max_iter < 1:
         raise StateError("max_iter must be >= 1")
     if backend is None:
         backend = EuclideanBackend()
-    if patience is None:
-        patience = 3 if backend.kind == "hsd_simulated" else 1
+    patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(init_seed)
-    model = ClusterModel(_init_centroids(points, k, rng, init))
+    model = ClusterModel(_init_centroids(points, k, rng))
     trace: List[np.ndarray] = [model.centroids.copy()]
     labels = None
     cost = np.inf

@@ -110,6 +110,16 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def min_eigenvalues(points: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of encode(u) for every row u of `points`, from one
+    batched eigendecomposition of the stacked matrices."""
+    points = np.asarray(points, dtype=float)
+    basis = generator_basis(_n_qubits_for_length(points.shape[1]))
+    d = basis.dim
+    m = np.eye(d) / d + np.einsum("ni,ijk->njk", points, basis.generators)
+    return np.linalg.eigvalsh(m)[:, 0]
+
+
 def decode(rho: DensityMatrix) -> np.ndarray:
     """Inverse of encode: u_i = Tr(rho G_i) / 2."""
     basis = generator_basis(rho.n_qubits)

@@ -56,11 +56,6 @@ class NoiseModel:
 
 _BITS_TO_LETTERS = str.maketrans("01", "IS")
 
-# (II, SI, IS, SS), the order of povm_probabilities and sample_counts, as
-# indices into the configuration order (II, IS, SI, SS).  The swap is its
-# own inverse, so the same indices convert both ways.
-_TWO_QUBIT_ORDER = [0, 2, 1, 3]
-
 
 @dataclass(frozen=True)
 class CoincidenceCounts:
@@ -68,8 +63,8 @@ class CoincidenceCounts:
 
     `rates` is in configuration order: bit n-1-k of the index is set when
     photon k takes the singlet projection, so photon A is the high bit (II,
-    IS, SI, SS for two qubits).  Each rate also reads as f_<letters>, one I
-    or S per photon, photon A first: f_SI has the singlet on photon A.
+    IS, SI, SS for two qubits).  named() labels each rate f_<letters>, one
+    I or S per photon, photon A first: f_SI has the singlet on photon A.
 
     Counts are integers in the stochastic modes; exact mode keeps the
     unrounded expected counts so the estimator reproduces the exact overlap.
@@ -89,12 +84,6 @@ class CoincidenceCounts:
             "f_" + format(c, width).translate(_BITS_TO_LETTERS): rate
             for c, rate in enumerate(self.rates)
         }
-
-    def __getattr__(self, name: str) -> float:
-        rate = self.named().get(name) if name.startswith("f_") else None
-        if rate is None:
-            raise AttributeError(name)
-        return rate
 
 
 @dataclass(frozen=True)
@@ -137,10 +126,6 @@ def singlet_projector() -> np.ndarray:
     return _SINGLET.copy()
 
 
-def swap_operator() -> np.ndarray:
-    return np.eye(4) - 2.0 * _SINGLET
-
-
 def _configs(n: int) -> List[Tuple[int, ...]]:
     """All identity/singlet choices per photon; 1 = singlet.  Binary counting
     order, so (0,...,0) comes first."""
@@ -171,8 +156,9 @@ def _povm_functional(n: int) -> np.ndarray:
     return k
 
 
-def _probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Probabilities of the 2^n configurations, in configuration order."""
+def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Probabilities of the 2^n configurations of two n-qubit states, in
+    configuration order (see CoincidenceCounts): II, IS, SI, SS for n = 2."""
     if rho1.dim != rho2.dim:
         raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     k = _povm_functional(rho1.n_qubits)
@@ -185,39 +171,6 @@ def _config_weights(n: int) -> np.ndarray:
     w = np.array([(-2.0) ** sum(cfg) for cfg in _configs(n)])
     w.setflags(write=False)
     return w
-
-
-def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> Tuple[float, float, float, float]:
-    """(p_II, p_SI, p_IS, p_SS) for two-qubit inputs; first letter photon A."""
-    if rho1.dim != 4 or rho2.dim != 4:
-        raise StateError("povm_probabilities expects two-qubit states")
-    return tuple(_probabilities(rho1, rho2)[_TWO_QUBIT_ORDER])
-
-
-def von_neumann_projections(povm: str) -> List[np.ndarray]:
-    """Rank-1 product projectors whose probabilities sum to the POVM's.
-
-    II splits into the 16 computational projections, SI/IS into the singlet
-    on one photon times the 4 local basis states of the other, SS is a single
-    product of two singlet projections.
-    """
-    basis4 = [np.zeros((4, 4)) for _ in range(4)]
-    for i in range(4):
-        basis4[i][i, i] = 1.0
-    if povm == "II":
-        out = []
-        for i in range(16):
-            proj = np.zeros((16, 16))
-            proj[i, i] = 1.0
-            out.append(proj)
-        return out
-    if povm == "SI":
-        return [np.kron(_SINGLET, b) for b in basis4]
-    if povm == "IS":
-        return [np.kron(b, _SINGLET) for b in basis4]
-    if povm == "SS":
-        return [np.kron(_SINGLET, _SINGLET)]
-    raise StateError(f"unknown POVM {povm!r}")
 
 
 def _stream_rng(seed: int, key: Sequence[int]) -> np.random.Generator:
@@ -239,15 +192,6 @@ def _draw_counts(
         else:
             counts[i] = rng.poisson(noise.shots * p)
     return counts
-
-
-def sample_counts(
-    probabilities: Sequence[float], noise: NoiseModel, stream_key: Sequence[int] = ()
-) -> CoincidenceCounts:
-    """Draw the four two-qubit coincidence rates for given POVM
-    probabilities (p_II, p_SI, p_IS, p_SS)."""
-    probs = np.asarray(probabilities, dtype=float)[_TWO_QUBIT_ORDER]
-    return CoincidenceCounts(tuple(_draw_counts(probs, noise, stream_key).tolist()), noise.shots)
 
 
 def _estimate_from_arrays(
@@ -285,7 +229,7 @@ def measure_overlap(
     noise: NoiseModel,
     stream_key: Sequence[int] = (),
 ) -> OverlapEstimate:
-    counts = _draw_counts(_probabilities(rho1, rho2), noise, stream_key)
+    counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
     return estimate_overlap(CoincidenceCounts(tuple(counts.tolist()), noise.shots), noise.mode)
 
 
@@ -333,7 +277,7 @@ def ensemble_measure(
     for i, (w1, s1) in enumerate(spec1.members):
         for j, (w2, s2) in enumerate(spec2.members):
             w = w1 * w2
-            probs = _probabilities(s1, s2)
+            probs = povm_probabilities(s1, s2)
             if noise.mode == "exact":
                 total += noise.shots * w * probs
                 shots_total = noise.shots

@@ -39,12 +39,17 @@ _BELL_VECTORS = {
 }
 
 
+def _check_qubit_dim(d: int) -> None:
+    if d < 2 or (d & (d - 1)) != 0:
+        raise StateError(f"dimension {d} is not a power of two >= 2")
+
+
 def _validate_matrix(m: np.ndarray) -> None:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateError(f"expected a square matrix, got shape {m.shape}")
-    d = m.shape[0]
-    if d < 2 or (d & (d - 1)) != 0:
-        raise StateError(f"dimension {d} is not a power of two >= 2")
+    _check_qubit_dim(m.shape[0])
+    if not np.isfinite(m).all():
+        raise StateError("matrix has non-finite entries")
     herm = np.abs(m - m.conj().T).max()
     if herm > HERMITICITY_TOL:
         raise StateError(f"not Hermitian: max asymmetry {herm:.3e}")
@@ -90,6 +95,8 @@ class DensityMatrix:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
+    """I/dim; dim must be a power of two >= 2."""
+    _check_qubit_dim(dim)
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
@@ -184,11 +191,6 @@ def permute_qubits(a: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(t.reshape(a.dim, a.dim))
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return pure_state(v)
-
-
 def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
@@ -202,39 +204,60 @@ def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 _BELL_NAMES = {k.value: k for k in BellKind}
 
-
-def state_to_json(a: DensityMatrix) -> dict:
-    return {
-        "dim": a.dim,
-        "re": np.real(a.matrix).tolist(),
-        "im": np.imag(a.matrix).tolist(),
-    }
+# The one parameter each named state takes.
+_NAMED_PARAMS = {"bell": "kind", "separable": "bits", "werner": "p", "horodecki": "q", "mixed": "dim"}
 
 
-def state_from_json(obj: dict) -> DensityMatrix:
-    if "named" in obj:
-        name = obj["named"]
-        params = obj.get("params", {})
-        if name == "bell":
-            kind = params.get("kind", "")
-            if kind not in _BELL_NAMES:
-                raise StateError(f"unknown bell kind {kind!r}")
-            return make_bell(_BELL_NAMES[kind])
-        if name == "separable":
-            return make_separable(str(params.get("bits", "")))
-        if name == "werner":
-            return make_werner(float(params["p"]))
-        if name == "horodecki":
-            return make_horodecki(float(params["q"]))
-        if name == "mixed":
-            return maximally_mixed(int(params.get("dim", 4)))
+def _number(obj: dict, key: str, default=None) -> float:
+    value = obj.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise StateError(f"{key} must be a number, got {value!r}") from None
+
+
+def _named_state(name, params) -> DensityMatrix:
+    if not isinstance(name, str) or name not in _NAMED_PARAMS:
         raise StateError(f"unknown named state {name!r}")
+    if not isinstance(params, dict):
+        raise StateError(f"params of {name} must be an object, got {params!r}")
+    unknown = [key for key in params if key != _NAMED_PARAMS[name]]
+    if unknown:
+        raise StateError(f"{name} takes no parameter {unknown[0]!r}")
+    if name == "bell":
+        kind = params.get("kind")
+        if not isinstance(kind, str) or kind not in _BELL_NAMES:
+            raise StateError(f"unknown bell kind {kind!r}")
+        return make_bell(_BELL_NAMES[kind])
+    if name == "separable":
+        return make_separable(str(params.get("bits", "")))
+    if name == "werner":
+        return make_werner(_number(params, "p"))
+    if name == "horodecki":
+        return make_horodecki(_number(params, "q"))
+    dim = _number(params, "dim", 4)
+    if not dim.is_integer():
+        raise StateError(f"dim must be an integer, got {params['dim']!r}")
+    return maximally_mixed(int(dim))
+
+
+def state_from_json(obj) -> DensityMatrix:
+    """Density matrix from the state JSON schema; any malformed object
+    raises StateError."""
+    if not isinstance(obj, dict):
+        raise StateError(f"state JSON must be an object, got {type(obj).__name__}")
+    if "named" in obj:
+        return _named_state(obj["named"], obj.get("params", {}))
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except KeyError as exc:
         raise StateError(f"state JSON missing key {exc}") from exc
-    m = re + 1j * im
-    if "dim" in obj and int(obj["dim"]) != m.shape[0]:
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateError(f"state JSON re/im are not numeric arrays: {exc}") from exc
+    if re.shape != im.shape:
+        raise StateError(f"re has shape {re.shape} but im has shape {im.shape}")
+    rho = DensityMatrix.from_array(re + 1j * im)
+    if "dim" in obj and _number(obj, "dim") != rho.dim:
         raise StateError("declared dim does not match matrix shape")
-    return DensityMatrix.from_array(m)
+    return rho

@@ -1,8 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import math
+import string
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhsd import cli
 
@@ -65,6 +72,92 @@ def test_bad_state_spec_exit_code(capsys):
 def test_unparseable_spec_exit_code(capsys):
     code, _, _ = run(capsys, "distance", "bell:phi+", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("state", [
+    {"named": "werner"},
+    {"named": "werner", "params": {"p": None}},
+    {"named": "bell", "params": "x"},
+    [1, 2],
+    {"dim": None, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+    {"named": "mixed", "params": {"dim": 3}},
+    {"named": "werner", "params": {"p": 0.5, "q": 0.5}},
+    {"re": [[float("nan"), 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
+    "mixed:dim=3",
+    "mixed:dim=0",
+    "mixed:dim=1",
+    "mixed:dim=2.5",
+    "mixed:p=3",
+])
+def test_malformed_state_exit_code(tmp_path, capsys, state):
+    if not isinstance(state, str):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        state = str(path)
+    code, out, err = run(capsys, "distance", state, state)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+# Inline-spec pieces.  Free text has no "/" and no digits, so a fuzzed spec
+# never names a file outside the working directory and numbers come only
+# from the bounded strategies: a dimension such as mixed:dim=16384 is a
+# valid state whose 4 GB matrix this test must not allocate.
+_TEXT = st.text(string.ascii_letters + string.punctuation.replace("/", "") + " ", max_size=8)
+_NUMBERS = st.one_of(
+    st.integers(-300, 300),
+    st.floats(-300, 300),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+)
+_NAMES = st.sampled_from(["bell", "separable", "werner", "horodecki", "mixed", "ghz", ""])
+_KEYS = st.sampled_from(["p", "q", "dim", "kind", "bits", "x"])
+_LABELS = st.sampled_from(["phi+", "phi-", "psi+", "psi-", "00", "01", "10", "11"])
+
+_INLINE_SPECS = st.one_of(
+    st.builds("{}:{}".format, _NAMES, st.one_of(_LABELS, _TEXT)),
+    st.builds("{}:{}={}".format, _NAMES, _KEYS, st.one_of(_NUMBERS, _TEXT)),
+    st.builds("{}:{}={}{}".format, _NAMES, _KEYS, _NUMBERS, _TEXT),
+    _NAMES,
+    _TEXT,
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT, _LABELS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+_MATRICES = st.lists(st.lists(_NUMBERS, min_size=1, max_size=4), min_size=1, max_size=4)
+_STATE_OBJECTS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"named": _NAMES | _JSON},
+        optional={"params": st.dictionaries(_KEYS, _NUMBERS | _LABELS | _JSON, max_size=3) | _JSON},
+    ),
+    st.fixed_dictionaries(
+        {"re": _MATRICES | _JSON, "im": _MATRICES | _JSON}, optional={"dim": _NUMBERS | _JSON}
+    ),
+)
+
+
+def _main_code(argv):
+    """Exit code of cli.main; argparse's own usage exit counts as a code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_INLINE_SPECS, b=st.one_of(_INLINE_SPECS, _STATE_OBJECTS))
+def test_fuzzed_state_specs_keep_exit_code_contract(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        if not isinstance(b, str):
+            path = f"{tmp}/state.json"
+            with open(path, "w") as fh:
+                json.dump(b, fh)
+            b = path
+        assert _main_code(["distance", a, b]) in {0, 2, 3, 4}
 
 
 def test_simulate_report(capsys):
@@ -201,6 +294,24 @@ def test_cluster_k1_centroid_is_mean(tmp_path, capsys):
     model = json.loads((tmp_path / "one" / "model.json").read_text())
     points = np.loadtxt(points_path, delimiter=",", skiprows=1)
     assert np.allclose(model["centroids"][0], points.mean(axis=0))
+
+
+@pytest.mark.parametrize("row, backend, code", [
+    ("nan,0,0", "euclidean", 2),
+    ("0,inf,0", "hsd_exact", 2),
+    ("0.9,0,0", "hsd_exact", 2),
+    ("0.9,0,0", "hsd_simulated", 2),
+    ("0.9,0,0", "euclidean", 0),
+])
+def test_cluster_checks_rows(tmp_path, capsys, row, backend, code):
+    path = tmp_path / "points.csv"
+    path.write_text(f"x1,x2,x3\n0.1,0,0\n{row}\n-0.1,0,0\n")
+    got, _, err = run(capsys, "cluster", str(path), "--k", "2", "--backend", backend,
+                      "--noise", "binomial", "--out-dir", str(tmp_path / "out"))
+    assert got == code
+    if code:
+        assert err.startswith("error:") and "row 1 " in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_byte_identical(tmp_path, capsys):

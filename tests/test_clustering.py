@@ -62,7 +62,6 @@ def test_update_centroids_means():
     out = update_centroids(points, np.array([0, 0, 1]), model)
     assert np.allclose(out.centroids[0], [0.1, 0.0])
     assert np.allclose(out.centroids[1], [0.0, 0.4])
-    assert out.iteration == 1
 
 
 def test_update_centroids_empty_cluster_reseeds_farthest():
@@ -111,7 +110,7 @@ def test_kmeans_cost_non_increasing():
     # replay Lloyd manually to watch the cost sequence
     from qhsd.clustering import _init_centroids
 
-    model = ClusterModel(_init_centroids(points, 3, np.random.default_rng(5), "random"))
+    model = ClusterModel(_init_centroids(points, 3, np.random.default_rng(5)))
     for _ in range(15):
         labels, dists = assign(points, model)
         costs.append(dists[np.arange(len(points)), labels].sum())
@@ -125,13 +124,6 @@ def test_kmeans_fixed_point_stable():
     r2 = kmeans(points, 2, init_seed=7, max_iter=r1.iterations + 1)
     assert np.array_equal(r1.labels, r2.labels)
     assert np.allclose(r1.model.centroids, r2.model.centroids)
-
-
-def test_kmeans_plusplus_init():
-    points = two_gaussian_demo(200, seed=8)
-    result = kmeans(points, 2, init_seed=9, init="kmeans++")
-    assert result.model.k == 2
-    assert len(np.unique(result.labels)) == 2
 
 
 def test_demo_euclidean_vs_hsd_exact_identical():

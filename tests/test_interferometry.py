@@ -10,17 +10,14 @@ from qhsd.interferometry import (
     EnsembleSpec,
     EstimationError,
     NoiseModel,
-    _probabilities,
+    _draw_counts,
     ensemble_measure,
     estimate_overlap,
     measure_hsd,
     measure_overlap,
     plan_measurements,
     povm_probabilities,
-    sample_counts,
     singlet_projector,
-    swap_operator,
-    von_neumann_projections,
 )
 from qhsd.states import (
     BellKind,
@@ -91,7 +88,6 @@ def test_identity_minus_two_singlets_is_swap():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     assert np.abs(np.eye(4) - 2 * singlet_projector() - swap).max() < 1e-12
-    assert np.abs(swap_operator() - swap).max() < 1e-12
 
 
 def test_arrange_joint_state():
@@ -114,17 +110,17 @@ def test_arrange_joint_state():
 @given(mixed_pairs())
 def test_probabilities_match_joint_state_oracle(pair):
     a, b = pair
-    p = _probabilities(a, b)
+    p = povm_probabilities(a, b)
     assert np.abs(p - joint_state_probabilities(a, b)).max() <= 1e-14
     assert p[0] == pytest.approx(1.0, abs=1e-14)
     assert np.all((p >= -1e-14) & (p <= 1.0 + 1e-14))  # [0, 1] up to rounding
     with pytest.raises(StateError):
-        _probabilities(a, maximally_mixed(2 * a.dim))
+        povm_probabilities(a, maximally_mixed(2 * a.dim))
 
 
 def test_povm_probabilities_maximally_mixed():
     mm = maximally_mixed(4)
-    p_ii, p_si, p_is, p_ss = povm_probabilities(mm, mm)
+    p_ii, p_is, p_si, p_ss = povm_probabilities(mm, mm)
     assert p_ii == pytest.approx(1.0, abs=1e-12)
     assert p_si == pytest.approx(0.25, abs=1e-12)
     assert p_is == pytest.approx(0.25, abs=1e-12)
@@ -135,7 +131,7 @@ def test_povm_probabilities_identity_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(300):
         a, b = random_mixed(4, rng), random_mixed(4, rng)
-        p_ii, p_si, p_is, p_ss = povm_probabilities(a, b)
+        p_ii, p_is, p_si, p_ss = povm_probabilities(a, b)
         est = 1.0 - 2.0 * (p_si + p_is - 2.0 * p_ss)
         assert abs(est - overlap_exact(a, b)) < 1e-9
         for p in (p_ii, p_si, p_is, p_ss):
@@ -145,43 +141,29 @@ def test_povm_probabilities_identity_random_pairs():
 def test_povm_probabilities_pure_self():
     rng = np.random.default_rng(2)
     psi = pure_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    p_ii, p_si, p_is, p_ss = povm_probabilities(psi, psi)
+    p_ii, p_is, p_si, p_ss = povm_probabilities(psi, psi)
     assert 1.0 - 2.0 * (p_si + p_is - 2.0 * p_ss) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_von_neumann_projection_counts():
-    assert len(von_neumann_projections("II")) == 16
-    assert len(von_neumann_projections("SI")) == 4
-    assert len(von_neumann_projections("IS")) == 4
-    assert len(von_neumann_projections("SS")) == 1
-    for povm in ("II", "SI", "IS", "SS"):
-        for proj in von_neumann_projections(povm):
-            assert np.abs(proj @ proj - proj).max() < 1e-12
-            assert np.trace(proj) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_von_neumann_projections_resum_to_povms():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a, b = random_mixed(4, rng), random_mixed(4, rng)
-        joint = arrange_joint_state(a, b).matrix
-        p_ii, p_si, p_is, p_ss = povm_probabilities(a, b)
-        for povm, target in (("II", p_ii), ("SI", p_si), ("IS", p_is), ("SS", p_ss)):
-            total = sum(np.real(np.trace(proj @ joint)) for proj in von_neumann_projections(povm))
-            assert abs(total - target) < 1e-9
+def sample_counts(probabilities, noise):
+    """Two-qubit coincidence counts for probabilities in configuration order
+    (II, IS, SI, SS)."""
+    counts = _draw_counts(np.array(probabilities), noise)
+    return CoincidenceCounts(tuple(counts.tolist()), noise.shots)
 
 
 def test_sample_counts_exact_mode():
     counts = sample_counts((1.0, 0.25, 0.25, 1 / 16), NoiseModel("exact", 1600, 0))
-    assert (counts.f_II, counts.f_SI, counts.f_IS, counts.f_SS) == (1600, 400, 400, 100)
+    assert counts.rates == (1600, 400, 400, 100)
+    assert counts.named() == {"f_II": 1600, "f_IS": 400, "f_SI": 400, "f_SS": 100}
 
 
 def test_sample_counts_seeded_determinism():
     noise = NoiseModel("binomial", 5000, 42)
-    c1 = sample_counts((1.0, 0.3, 0.2, 0.05), noise)
-    c2 = sample_counts((1.0, 0.3, 0.2, 0.05), noise)
+    c1 = sample_counts((1.0, 0.2, 0.3, 0.05), noise)
+    c2 = sample_counts((1.0, 0.2, 0.3, 0.05), noise)
     assert c1 == c2
-    c3 = sample_counts((1.0, 0.3, 0.2, 0.05), NoiseModel("binomial", 5000, 43))
+    c3 = sample_counts((1.0, 0.2, 0.3, 0.05), NoiseModel("binomial", 5000, 43))
     assert c1 != c3
 
 
@@ -189,7 +171,8 @@ def test_sample_counts_binomial_mean():
     p_si = 0.3
     shots = 2000
     vals = [
-        sample_counts((1.0, p_si, 0.2, 0.05), NoiseModel("binomial", shots, seed)).f_SI / shots
+        sample_counts((1.0, 0.2, p_si, 0.05), NoiseModel("binomial", shots, seed)).named()["f_SI"]
+        / shots
         for seed in range(2000)
     ]
     se = np.sqrt(p_si * (1 - p_si) / shots / len(vals))

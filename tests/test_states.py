@@ -17,9 +17,7 @@ from qhsd.states import (
     pure_state,
     purity,
     random_mixed,
-    random_pure,
     state_from_json,
-    state_to_json,
     tensor,
 )
 
@@ -86,7 +84,7 @@ def test_overlap_basics():
     mm = maximally_mixed(4)
     assert overlap_exact(mm, mm) == pytest.approx(0.25, abs=1e-12)
     rng = np.random.default_rng(1)
-    psi = random_pure(4, rng)
+    psi = pure_state(rng.standard_normal(4) + 1j * rng.standard_normal(4))
     assert overlap_exact(psi, psi) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(StateError):
         overlap_exact(mm, maximally_mixed(2))
@@ -180,12 +178,19 @@ def test_invalid_matrices_rejected():
     m[0, 1] = 1e-3
     with pytest.raises(StateError):
         DensityMatrix.from_array(m)  # not Hermitian
+    with pytest.raises(StateError):
+        DensityMatrix.from_array(np.full((2, 2), np.nan))
+    for dim in (0, 1, 3, 6):
+        with pytest.raises(StateError):
+            maximally_mixed(dim)
 
 
 def test_state_json_round_trip():
     rng = np.random.default_rng(7)
     rho = random_mixed(4, rng)
-    back = state_from_json(state_to_json(rho))
+    back = state_from_json(
+        {"dim": 4, "re": np.real(rho.matrix).tolist(), "im": np.imag(rho.matrix).tolist()}
+    )
     assert hsd_exact(rho, back) < 1e-12
 
 

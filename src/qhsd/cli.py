@@ -364,6 +364,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.shots < 1:
+            raise StateError(f"--shots must be >= 1, got {args.shots}")
         return args.func(args)
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)

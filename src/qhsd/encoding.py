@@ -10,13 +10,14 @@ k-means run on density matrices unchanged.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError
+from qhsd.states import EIGENVALUE_TOL, MAX_QUBITS, DensityMatrix, StateError
 
 
 class EncodingError(ValueError):
@@ -38,6 +39,7 @@ class GeneratorBasis:
     n_qubits: int
     labels: Tuple[str, ...]
     generators: np.ndarray  # shape (D^2 - 1, D, D), read-only
+    mixed: np.ndarray  # I/D, complex, read-only
 
     @property
     def dim(self) -> int:
@@ -52,8 +54,8 @@ class GeneratorBasis:
 def generator_basis(n_qubits: int) -> GeneratorBasis:
     """Pauli strings over n qubits (identity string excluded), lexicographic
     in the letters I < X < Y < Z, scaled by 1/sqrt(2^(n-1))."""
-    if not 1 <= n_qubits <= 4:
-        raise StateError(f"n_qubits={n_qubits} outside supported range 1..4")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise StateError(f"n_qubits={n_qubits} outside supported range 1..{MAX_QUBITS}")
     scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
     labels = []
     mats = []
@@ -67,14 +69,18 @@ def generator_basis(n_qubits: int) -> GeneratorBasis:
         mats.append(scale * g)
     stack = np.array(mats)
     stack.setflags(write=False)
-    return GeneratorBasis(n_qubits, tuple(labels), stack)
+    d = 2 ** n_qubits
+    mixed = np.eye(d, dtype=complex) / d
+    mixed.setflags(write=False)
+    return GeneratorBasis(n_qubits, tuple(labels), stack, mixed)
 
 
+@lru_cache(maxsize=None)
 def _n_qubits_for_length(length: int) -> int:
-    d = int(round(np.sqrt(length + 1)))
+    d = math.isqrt(length + 1)
     if d * d - 1 != length or d < 2 or (d & (d - 1)) != 0:
         raise StateError(f"feature length {length} is not D^2 - 1 for a qubit dimension")
-    return int(round(np.log2(d)))
+    return d.bit_length() - 1
 
 
 def max_ball_radius(dim: int) -> float:
@@ -101,8 +107,7 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """
     u = np.asarray(u, dtype=float)
     basis = generator_basis(_n_qubits_for_length(u.shape[0]))
-    d = basis.dim
-    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+    m = basis.mixed + np.einsum("i,ijk->jk", u, basis.generators)
     if validate:
         lam = float(np.linalg.eigvalsh(m)[0])
         if lam < EIGENVALUE_TOL:
@@ -115,8 +120,7 @@ def min_eigenvalues(points: np.ndarray) -> np.ndarray:
     batched eigendecomposition of the stacked matrices."""
     points = np.asarray(points, dtype=float)
     basis = generator_basis(_n_qubits_for_length(points.shape[1]))
-    d = basis.dim
-    m = np.eye(d) / d + np.einsum("ni,ijk->njk", points, basis.generators)
+    m = basis.mixed + np.einsum("ni,ijk->njk", points, basis.generators)
     return np.linalg.eigvalsh(m)[:, 0]
 
 

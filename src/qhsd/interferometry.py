@@ -25,7 +25,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import BellKind, DensityMatrix, StateError, hsd_from_overlaps, make_bell
+from qhsd.states import (
+    MAX_QUBITS,
+    BellKind,
+    DensityMatrix,
+    StateError,
+    hsd_from_overlaps,
+    make_bell,
+)
 
 _NOISE_MODES = ("exact", "binomial", "poisson")
 
@@ -141,6 +148,8 @@ def _povm_functional(n: int) -> np.ndarray:
     run photon by photon (qubit k of rho1, qubit k of rho2), regrouped as
     (rho1 row, rho1 column) x (rho2 row, rho2 column).  Its entries are real
     but stored complex, so the product with a density matrix needs no cast."""
+    if not 1 <= n <= MAX_QUBITS:
+        raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
     d = 2 ** n
     rows = np.arange(2 * n)
     cols = rows + 2 * n
@@ -173,9 +182,30 @@ def _config_weights(n: int) -> np.ndarray:
     return w
 
 
+def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
+    """The uint32 words SeedSequence makes of [seed mod 2^64, *key]: each
+    value split into little-endian 32-bit words, at least one per value."""
+    words = []
+    for value in (int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(k) for k in key]):
+        if value < 0:
+            raise ValueError(f"stream key entries must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
+
+
+def _rng(words: np.ndarray) -> np.random.Generator:
+    # SeedSequence copies the words, so the caller may reuse the array
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
 def _stream_rng(seed: int, key: Sequence[int]) -> np.random.Generator:
-    # independent substream per (seed, key...) so draws are order-independent
-    return np.random.default_rng([int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(k) for k in key]])
+    """Independent substream per (seed, key...), so draws are
+    order-independent; the same stream as np.random.default_rng([seed mod
+    2^64, *key])."""
+    return _rng(_stream_words(seed, key))
 
 
 def _draw_counts(
@@ -185,8 +215,11 @@ def _draw_counts(
     if noise.mode == "exact":
         return noise.shots * probs
     counts = np.empty(len(probs))
+    # configuration i < 2^MAX_QUBITS is the one last word of stream (*stream_key, i)
+    words = _stream_words(noise.seed, (*stream_key, 0))
     for i, p in enumerate(probs):
-        rng = _stream_rng(noise.seed, (*stream_key, i))
+        words[-1] = i
+        rng = _rng(words)
         if noise.mode == "binomial":
             counts[i] = rng.binomial(noise.shots, p)
         else:

@@ -7,6 +7,7 @@ this module as the exact ground truth.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -15,6 +16,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = -1e-9
+
+# Largest supported qubit count: states are 2x2 to 16x16 matrices.
+MAX_QUBITS = 4
 
 
 class StateError(ValueError):
@@ -40,8 +44,8 @@ _BELL_VECTORS = {
 
 
 def _check_qubit_dim(d: int) -> None:
-    if d < 2 or (d & (d - 1)) != 0:
-        raise StateError(f"dimension {d} is not a power of two >= 2")
+    if not 2 <= d <= 2 ** MAX_QUBITS or (d & (d - 1)) != 0:
+        raise StateError(f"dimension {d} is not a power of two in 2..{2 ** MAX_QUBITS}")
 
 
 def _validate_matrix(m: np.ndarray) -> None:
@@ -95,7 +99,7 @@ class DensityMatrix:
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
-    """I/dim; dim must be a power of two >= 2."""
+    """I/dim; dim must be a power of two in 2..2^MAX_QUBITS."""
     _check_qubit_dim(dim)
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
@@ -158,7 +162,7 @@ def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2])."""
     _check_same_dim(a, b)
     d = a.matrix - b.matrix
-    return float(np.sqrt(max(0.0, np.real(np.trace(d @ d)))))
+    return math.sqrt(max(0.0, (d @ d).trace().real))
 
 
 class HsdFromOverlaps(NamedTuple):

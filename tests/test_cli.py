@@ -88,6 +88,10 @@ def test_unparseable_spec_exit_code(capsys):
     "mixed:dim=1",
     "mixed:dim=2.5",
     "mixed:p=3",
+    "mixed:dim=32",
+    "mixed:dim=1048576",
+    {"named": "mixed", "params": {"dim": 2 ** 24}},
+    {"re": (np.eye(32) / 32).tolist(), "im": np.zeros((32, 32)).tolist()},
 ])
 def test_malformed_state_exit_code(tmp_path, capsys, state):
     if not isinstance(state, str):
@@ -102,19 +106,22 @@ def test_malformed_state_exit_code(tmp_path, capsys, state):
 
 # Inline-spec pieces.  Free text has no "/" and no digits, so a fuzzed spec
 # never names a file outside the working directory and numbers come only
-# from the bounded strategies: a dimension such as mixed:dim=16384 is a
-# valid state whose 4 GB matrix this test must not allocate.
+# from the bounded strategies.  They include the powers of two 2^5..2^24:
+# states stop at 16x16, so mixed:dim=16777216 must be refused before its
+# matrix is allocated.
 _TEXT = st.text(string.ascii_letters + string.punctuation.replace("/", "") + " ", max_size=8)
 _NUMBERS = st.one_of(
     st.integers(-300, 300),
     st.floats(-300, 300),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+    st.sampled_from([2 ** k for k in range(5, 25)]),
 )
 _NAMES = st.sampled_from(["bell", "separable", "werner", "horodecki", "mixed", "ghz", ""])
 _KEYS = st.sampled_from(["p", "q", "dim", "kind", "bits", "x"])
 _LABELS = st.sampled_from(["phi+", "phi-", "psi+", "psi-", "00", "01", "10", "11"])
 
 _INLINE_SPECS = st.one_of(
+    st.builds("mixed:dim={}".format, _NUMBERS),
     st.builds("{}:{}".format, _NAMES, st.one_of(_LABELS, _TEXT)),
     st.builds("{}:{}={}".format, _NAMES, _KEYS, st.one_of(_NUMBERS, _TEXT)),
     st.builds("{}:{}={}{}".format, _NAMES, _KEYS, _NUMBERS, _TEXT),
@@ -158,6 +165,25 @@ def test_fuzzed_state_specs_keep_exit_code_contract(a, b):
                 json.dump(b, fh)
             b = path
         assert _main_code(["distance", a, b]) in {0, 2, 3, 4}
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["overlap", "mixed", "mixed"],
+    ["distance", "mixed", "mixed", "--mode", "exact"],
+    ["cluster", "POINTS", "--k", "2", "--backend", "euclidean", "--out-dir", "OUT"],
+    ["reproduce", "bell_table", "--out-dir", "OUT"],
+])
+def test_bad_shots_exit_code(tmp_path, capsys, argv, shots):
+    points = tmp_path / "points.csv"
+    points.write_text("0.1,0.0,0.0\n0.0,0.1,0.0\n0.0,0.0,0.1\n")
+    out_dir = tmp_path / "out"
+    argv = [{"POINTS": str(points), "OUT": str(out_dir)}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv, "--shots", shots)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not out_dir.exists()
 
 
 def test_simulate_report(capsys):

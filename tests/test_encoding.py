@@ -5,12 +5,14 @@ import pytest
 
 from qhsd.encoding import (
     EncodingError,
+    _n_qubits_for_length,
     decode,
     embed_hypercube,
     encode,
     generator_basis,
     hypercube_scale,
     max_ball_radius,
+    min_eigenvalues,
     safe_radius,
 )
 from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mixed, purity, random_mixed
@@ -152,3 +154,37 @@ def test_all_hypercube_corners_encode_psd():
     mats = np.eye(4) / 4 + np.einsum("ci,ijk->cjk", corners, basis.generators)
     eigs = np.linalg.eigvalsh(mats)
     assert eigs[:, 0].min() >= -1e-12
+
+
+def _seed_n_qubits_for_length(length):
+    d = int(round(np.sqrt(length + 1)))
+    if d * d - 1 != length or d < 2 or (d & (d - 1)) != 0:
+        raise StateError(f"feature length {length} is not D^2 - 1 for a qubit dimension")
+    return int(round(np.log2(d)))
+
+
+def test_n_qubits_for_length_matches_seed_formula():
+    for length in range(1101):
+        try:
+            expected = _seed_n_qubits_for_length(length)
+        except StateError:
+            with pytest.raises(StateError):
+                _n_qubits_for_length(length)
+        else:
+            assert _n_qubits_for_length(length) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_encode_matches_seed_formula(n):
+    rng = np.random.default_rng(n)
+    basis = generator_basis(n)
+    d = basis.dim
+    points = rng.uniform(-0.2, 0.2, (20, basis.size))
+    points[0] = 0.0
+    points[1, ::2] = -0.0
+    for u in points:
+        expected = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+        # bit for bit, signed zeros included
+        assert np.array_equal(encode(u, validate=False).matrix.view(np.uint64), expected.view(np.uint64))
+    expected = np.eye(d) / d + np.einsum("ni,ijk->njk", points, basis.generators)
+    assert np.array_equal(min_eigenvalues(points), np.linalg.eigvalsh(expected)[:, 0])

@@ -11,6 +11,8 @@ from qhsd.interferometry import (
     EstimationError,
     NoiseModel,
     _draw_counts,
+    _povm_functional,
+    _stream_rng,
     ensemble_measure,
     estimate_overlap,
     measure_hsd,
@@ -177,6 +179,50 @@ def test_sample_counts_binomial_mean():
     ]
     se = np.sqrt(p_si * (1 - p_si) / shots / len(vals))
     assert abs(np.mean(vals) - p_si) < 3 * se
+
+
+def _seed_stream_rng(seed, key):
+    """The stream definition: default_rng of [seed mod 2^64, *key]."""
+    return np.random.default_rng([int(seed) & (2 ** 64 - 1), *[int(k) for k in key]])
+
+
+_SEEDS = st.integers(-(2 ** 63), 2 ** 64 - 1)
+_KEYS = st.lists(st.integers(0, 2 ** 40), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, _KEYS, st.integers(1, 10 ** 6), st.floats(0.0, 1.0), st.floats(0.0, 1e4))
+def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
+    rng, oracle = _stream_rng(seed, key), _seed_stream_rng(seed, key)
+    assert rng.binomial(shots, p, size=3).tolist() == oracle.binomial(shots, p, size=3).tolist()
+    assert rng.poisson(lam, size=3).tolist() == oracle.poisson(lam, size=3).tolist()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SEEDS, _KEYS, st.sampled_from(["binomial", "poisson"]), st.integers(1, 3))
+def test_draw_counts_match_per_config_streams(seed, key, mode, n):
+    probs = np.random.default_rng(len(key)).uniform(0.0, 1.0, 2 ** n)
+    noise = NoiseModel(mode, 1000, seed)
+    expected = []
+    for i, p in enumerate(probs):
+        rng = _seed_stream_rng(seed, (*key, i))
+        expected.append(rng.binomial(1000, p) if mode == "binomial" else rng.poisson(1000 * p))
+    assert _draw_counts(probs, noise, key).tolist() == expected
+
+
+def test_stream_rng_rejects_negative_key():
+    for key in [(-1,), (3, -(2 ** 40))]:
+        with pytest.raises(ValueError):
+            _seed_stream_rng(0, key)
+        with pytest.raises(ValueError):
+            _stream_rng(0, key)
+
+
+def test_povm_functional_qubit_range():
+    with pytest.raises(StateError):
+        _povm_functional(5)
+    with pytest.raises(StateError):
+        _povm_functional(0)
 
 
 def test_estimate_overlap_arithmetic():

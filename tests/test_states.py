@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qhsd.encoding import encode
 from qhsd.states import (
     BellKind,
     DensityMatrix,
@@ -116,6 +117,21 @@ def test_hsd_overlap_identity_random():
         assert abs(lhs - rhs) < 1e-9
 
 
+def _seed_hsd_exact(a, b):
+    d = a.matrix - b.matrix
+    return float(np.sqrt(max(0.0, np.real(np.trace(d @ d)))))
+
+
+def test_hsd_exact_matches_seed_formula():
+    rng = np.random.default_rng(11)
+    pairs = [(random_mixed(dim, rng), random_mixed(dim, rng)) for dim in (2, 4, 8, 16) * 25]
+    pairs += [(make_werner(p), make_werner(q)) for p in (0.0, 0.3, 1.0) for q in (0.0, 0.3, 1.0)]
+    for u, v in rng.uniform(-0.3, 0.3, (100, 2, 15)):
+        pairs.append((encode(u, validate=False), encode(v, validate=False)))
+    for a, b in pairs:
+        assert hsd_exact(a, b) == _seed_hsd_exact(a, b)
+
+
 def test_hsd_metric_properties():
     rng = np.random.default_rng(4)
     for _ in range(300):
@@ -180,9 +196,11 @@ def test_invalid_matrices_rejected():
         DensityMatrix.from_array(m)  # not Hermitian
     with pytest.raises(StateError):
         DensityMatrix.from_array(np.full((2, 2), np.nan))
-    for dim in (0, 1, 3, 6):
+    for dim in (0, 1, 3, 6, 32, 2 ** 20):
         with pytest.raises(StateError):
             maximally_mixed(dim)
+    with pytest.raises(StateError):
+        DensityMatrix.from_array(np.eye(32) / 32)  # more than MAX_QUBITS qubits
 
 
 def test_state_json_round_trip():

@@ -178,6 +178,10 @@ def _read_points_csv(path: str) -> np.ndarray:
                 continue  # header line
     if not rows:
         raise StateError(f"no numeric rows in {path}")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise StateError(f"{path} row {i} has {len(row)} columns, row 0 has {width}")
     return np.array(rows)
 
 
@@ -283,10 +287,11 @@ def cmd_reproduce(args) -> int:
         stochastic = noise.mode != "exact"
         if stochastic:
             header = header + ["d2_simulated"]
+        mats_a = [make_a(x) for x in grid]
+        mats_b = [make_b(y) for y in grid]
         rows = []
-        for i, x in enumerate(grid):
-            for j, y in enumerate(grid):
-                a, b = make_a(x), make_b(y)
+        for i, (x, a) in enumerate(zip(grid, mats_a)):
+            for j, (y, b) in enumerate(zip(grid, mats_b)):
                 row = [x, y, states.hsd_exact(a, b) ** 2]
                 if stochastic:
                     row.append(_simulated_d2(a, b, noise, (i, j)))

@@ -90,11 +90,11 @@ def assign(points: np.ndarray, model: ClusterModel, backend=None, iteration: int
     if backend is None:
         backend = EuclideanBackend()
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    dists = np.empty((n, model.k))
-    for i in range(n):
-        for j in range(model.k):
-            dists[i, j] = backend.distance_sq(points[i], model.centroids[j], (iteration, i, j))
+    centroids = list(model.centroids)
+    dists = np.empty((points.shape[0], len(centroids)))
+    for i, point in enumerate(points):
+        for j, centroid in enumerate(centroids):
+            dists[i, j] = backend.distance_sq(point, centroid, (iteration, i, j))
     labels = np.argmin(dists, axis=1)  # argmin takes the first (lowest) index on ties
     return labels, dists
 
@@ -137,6 +137,8 @@ def kmeans(
     labels stop changing (for 3 consecutive passes under the noisy
     hsd_simulated backend) or max_iter is reached."""
     points = np.asarray(points, dtype=float)
+    if k < 1:
+        raise StateError(f"k must be >= 1, got {k}")
     if max_iter < 1:
         raise StateError("max_iter must be >= 1")
     if backend is None:

@@ -99,13 +99,32 @@ def safe_radius(dim: int) -> float:
     return float(1.0 / np.sqrt(2.0 * dim * (dim - 1)))
 
 
+# Encoded matrices kept for recently seen vectors.  k-means encodes every
+# centroid once per point and every point once per centroid, so a handful of
+# entries catches most calls; the bound keeps 16x16 states cheap to hold.
+ENCODE_CACHE_SIZE = 32
+
+
 def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i.
 
     With validate=True the smallest eigenvalue is checked; vectors outside
-    the positive set raise EncodingError reporting it.
+    the positive set raise EncodingError reporting it.  A vector with the
+    same float64 bytes as one of the last ENCODE_CACHE_SIZE encoded gets
+    the DensityMatrix built for that one, which is shared and read-only.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        return _encode(u, validate)
+    return _encode_bytes(u.tobytes(), validate)
+
+
+@lru_cache(maxsize=ENCODE_CACHE_SIZE)
+def _encode_bytes(data: bytes, validate: bool) -> DensityMatrix:
+    return _encode(np.frombuffer(data), validate)
+
+
+def _encode(u: np.ndarray, validate: bool) -> DensityMatrix:
     basis = generator_basis(_n_qubits_for_length(u.shape[0]))
     m = basis.mixed + np.einsum("i,ijk->jk", u, basis.generators)
     if validate:

@@ -92,7 +92,10 @@ class DensityMatrix:
 
     @property
     def n_qubits(self) -> int:
-        return int(round(np.log2(self.dim)))
+        d = self.matrix.shape[0]
+        if d < 1 or d & (d - 1):
+            raise StateError(f"dimension {d} is not a power of two")
+        return d.bit_length() - 1
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhsd import cli
+from qhsd.clustering import BACKEND_KINDS
 
 
 def run(capsys, *argv):
@@ -338,6 +339,33 @@ def test_cluster_checks_rows(tmp_path, capsys, row, backend, code):
     if code:
         assert err.startswith("error:") and "row 1 " in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("backend", BACKEND_KINDS)
+def test_cluster_rejects_k_below_one(tmp_path, capsys, k, backend):
+    path = tmp_path / "points.csv"
+    path.write_text("x1,x2,x3\n0.1,0,0\n-0.1,0,0\n")
+    code, _, err = run(capsys, "cluster", str(path), "--k", k, "--backend", backend,
+                       "--noise", "binomial", "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: k must be >= 1, got {k}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, row, cols", [
+    ("0.1,0,0\n0.2,0\n-0.1,0,0\n", 1, 2),
+    ("0.1,0,0\n0.2,0,0\n-0.1,0,0,0\n", 2, 4),
+    ("x1,x2,x3\n0.1,0,0\n0.2,0,0\n0.3\n", 2, 1),
+])
+def test_cluster_names_ragged_row(tmp_path, capsys, body, row, cols):
+    path = tmp_path / "points.csv"
+    path.write_text(body)
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: {path} row {row} has {cols} columns, row 0 has 3\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_byte_identical(tmp_path, capsys):

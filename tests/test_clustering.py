@@ -149,3 +149,19 @@ def test_two_gaussian_demo_properties():
     assert points.shape == (1000, 3)
     assert np.linalg.norm(points, axis=1).max() <= 0.5
     assert np.array_equal(points, two_gaussian_demo(1000, seed=16))
+
+
+class _CountingBackend(EuclideanBackend):
+    calls = 0
+
+    def distance_sq(self, u, v, key=()):
+        self.calls += 1
+        return super().distance_sq(u, v, key)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_kmeans_rejects_k_below_one(k):
+    backend = _CountingBackend()
+    with pytest.raises(StateError, match=f"k must be >= 1, got {k}"):
+        kmeans(two_gaussian_demo(20), k, backend=backend)
+    assert backend.calls == 0

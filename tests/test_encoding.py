@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qhsd import encoding
 from qhsd.encoding import (
+    ENCODE_CACHE_SIZE,
     EncodingError,
     _n_qubits_for_length,
     decode,
@@ -188,3 +192,86 @@ def test_encode_matches_seed_formula(n):
         assert np.array_equal(encode(u, validate=False).matrix.view(np.uint64), expected.view(np.uint64))
     expected = np.eye(d) / d + np.einsum("ni,ijk->njk", points, basis.generators)
     assert np.array_equal(min_eigenvalues(points), np.linalg.eigvalsh(expected)[:, 0])
+
+
+def _seed_encode(u, validate=True):
+    """encode as it was before the memo: no cache, every call computed."""
+    u = np.asarray(u, dtype=float)
+    basis = generator_basis(_n_qubits_for_length(u.shape[0]))
+    m = np.eye(basis.dim, dtype=complex) / basis.dim + np.einsum("i,ijk->jk", u, basis.generators)
+    if validate and np.linalg.eigvalsh(m)[0] < -1e-9:
+        raise EncodingError("vector encodes outside the state space")
+    return m
+
+
+@st.composite
+def _vectors(draw):
+    """A 1-4 qubit vector, inside or outside the state space, with some
+    entries set to +0.0 and some to -0.0."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal(4 ** n - 1)
+    u *= draw(st.floats(0.0, 1.5)) * max_ball_radius(2 ** n) / np.linalg.norm(u)
+    u[rng.random(u.size) < 0.2] = 0.0
+    u[rng.random(u.size) < 0.2] = -0.0
+    return u.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(_vectors(), min_size=1, max_size=6),
+    order=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+)
+def test_encode_memo_matches_seed_formula(pool, order):
+    # repeats of a few vectors of mixed sizes, interleaved as k-means calls them
+    for i in order:
+        u = pool[i % len(pool)]
+        expected = _seed_encode(u, False)
+        assert encode(u, validate=False).matrix.tobytes() == expected.tobytes()
+        if np.linalg.eigvalsh(expected)[0] < -1e-9:
+            with pytest.raises(EncodingError):
+                encode(np.array(u))
+        else:
+            assert encode(np.array(u)).matrix.tobytes() == expected.tobytes()
+
+
+def test_encode_returns_shared_read_only_matrix():
+    u = np.array([0.1, -0.2, 0.05])
+    rho = encode(u)
+    assert encode(u.copy()) is rho
+    assert not rho.matrix.flags.writeable
+    assert encode(-u) is not rho
+
+
+def test_encode_validates_after_unvalidated_hit():
+    u = np.array([0.9, 0.0, 0.0])  # outside the state space
+    assert encode(u, validate=False).matrix.tobytes() == _seed_encode(u, False).tobytes()
+    for _ in range(2):
+        with pytest.raises(EncodingError, match="min eigenvalue"):
+            encode(u)
+
+
+def test_encode_cache_stays_bounded():
+    for x in np.linspace(-0.1, 0.1, 10 * ENCODE_CACHE_SIZE):
+        encode([x, 0.0, 0.0])
+        assert encoding._encode_bytes.cache_info().currsize <= ENCODE_CACHE_SIZE
+    assert encoding._encode_bytes.cache_info().currsize == ENCODE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("u", [
+    0.1,
+    np.zeros((2, 3)),
+    np.zeros((3, 3)),
+    np.zeros((1, 15)),
+    np.zeros((15, 3)),
+])
+def test_encode_non_vector_raises_as_before(u):
+    before = encoding._encode_bytes.cache_info().currsize
+    with pytest.raises(Exception) as want:
+        _seed_encode(u)
+    with pytest.raises(Exception) as got:
+        encode(u)
+    assert type(got.value) is type(want.value)
+    if isinstance(want.value, StateError):
+        assert str(got.value) == str(want.value)
+    assert encoding._encode_bytes.cache_info().currsize == before

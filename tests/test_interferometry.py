@@ -351,3 +351,9 @@ def test_plan_measurements():
     assert plan_measurements(1, "tomography") == 8
     with pytest.raises(StateError):
         plan_measurements(2, "oracle")
+
+
+def test_povm_probabilities_rejects_non_qubit_dimension():
+    rho = DensityMatrix(np.eye(3) / 3)  # unvalidated, so the 3x3 gets through
+    with pytest.raises(StateError, match="dimension 3 is not a power of two"):
+        povm_probabilities(rho, rho)

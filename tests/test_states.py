@@ -185,6 +185,16 @@ def test_permute_qubits():
         permute_qubits(xy, [0, 0])
 
 
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_n_qubits_of_unvalidated_matrix(dim):
+    rho = DensityMatrix(np.eye(dim) / dim)
+    if dim & (dim - 1):
+        with pytest.raises(StateError, match=f"dimension {dim} is not a power of two"):
+            rho.n_qubits
+    else:
+        assert rho.n_qubits == int(round(np.log2(dim)))
+
+
 def test_invalid_matrices_rejected():
     with pytest.raises(StateError):
         DensityMatrix.from_array(np.eye(4))  # trace 4

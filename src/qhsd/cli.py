@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from qhsd import clustering, encoding, interferometry, states
+from qhsd import clustering, interferometry, states
 from qhsd.encoding import EncodingError
 from qhsd.interferometry import EstimationError, NoiseModel
-from qhsd.states import EIGENVALUE_TOL, BellKind, DensityMatrix, StateError
+from qhsd.states import BellKind, DensityMatrix, StateError
 
 SCHEMA_VERSION = 1
 
@@ -164,18 +164,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _parse_cell(cell: str) -> Optional[float]:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
 def _read_points_csv(path: str) -> np.ndarray:
+    """Numeric rows of a points CSV.  The first non-blank row is a header
+    only when none of its cells is a number; any other row with a
+    non-numeric cell is an error."""
     rows: List[List[float]] = []
+    seen = False
     with open(path, newline="") as fh:
         for raw in csv.reader(fh):
             if not raw:
                 continue
-            try:
-                rows.append([float(x) for x in raw])
-            except ValueError:
-                if rows:
-                    raise StateError(f"non-numeric row in {path}: {raw}")
-                continue  # header line
+            cells = [_parse_cell(x) for x in raw]
+            if None not in cells:
+                rows.append(cells)
+            elif seen or any(c is not None for c in cells):
+                raise StateError(f"non-numeric row in {path}: {raw}")
+            seen = True
     if not rows:
         raise StateError(f"no numeric rows in {path}")
     width = len(rows[0])
@@ -194,29 +205,8 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
 
 
-def _check_points(points: np.ndarray, source: str, backend_kind: str) -> None:
-    """Reject non-finite rows and, for the hsd backends (which encode without
-    validating), rows that encode outside the state space.  Rows are
-    numbered as in labels.csv."""
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise StateError(f"{source} row {bad[0]} is not finite: {points[bad[0]].tolist()}")
-    if backend_kind == "euclidean":
-        return
-    lam = encoding.min_eigenvalues(points)
-    bad = np.flatnonzero(lam < EIGENVALUE_TOL)
-    if bad.size:
-        raise EncodingError(
-            f"{source} row {bad[0]} encodes outside the state space: "
-            f"min eigenvalue {lam[bad[0]]:.3e}"
-        )
-
-
-def _cluster(
-    points: np.ndarray, source: str, backend, k: int, seed: int, max_iter: int, out_dir: str
-) -> None:
-    """k-means over checked points; writes labels.csv and model.json."""
-    _check_points(points, source, backend.kind)
+def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_dir: str) -> None:
+    """k-means over the points (kmeans checks them); writes labels.csv and model.json."""
     result = clustering.kmeans(points, k, init_seed=seed, max_iter=max_iter, backend=backend)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(
@@ -231,7 +221,7 @@ def _cluster(
         "seed": seed,
         "iterations": result.iterations,
         "cost": result.cost,
-        "centroids": result.model.centroids.tolist(),
+        "centroids": result.centroids.tolist(),
         "centroid_trace": [c.tolist() for c in result.centroid_trace],
     }
     with open(os.path.join(out_dir, "model.json"), "w") as fh:
@@ -242,12 +232,8 @@ def cmd_cluster(args) -> int:
     points = _read_points_csv(args.points)
     noise = _noise_from_args(args) if args.backend == "hsd_simulated" else None
     backend = clustering.make_backend(args.backend, noise)
-    _cluster(points, args.points, backend, args.k, args.seed, args.max_iter, args.out_dir)
+    _cluster(points, backend, args.k, args.seed, args.max_iter, args.out_dir)
     return EXIT_OK
-
-
-def _simulated_d2(a: DensityMatrix, b: DensityMatrix, noise: NoiseModel, key) -> float:
-    return interferometry.measure_hsd(a, b, noise, key).d2
 
 
 def _state_table(names: List[str], factory, noise: NoiseModel, out_dir: str, stem: str) -> None:
@@ -259,7 +245,7 @@ def _state_table(names: List[str], factory, noise: NoiseModel, out_dir: str, ste
         for i, a in enumerate(mats):
             row = [names[i]]
             for j, b in enumerate(mats):
-                row.append(_simulated_d2(a, b, noise, (i, j)))
+                row.append(interferometry.measure_hsd(a, b, noise, (i, j)).d2)
             sim_rows.append(row)
         _write_csv(os.path.join(out_dir, f"{stem}_simulated.csv"), [""] + names, sim_rows)
 
@@ -294,14 +280,14 @@ def cmd_reproduce(args) -> int:
             for j, (y, b) in enumerate(zip(grid, mats_b)):
                 row = [x, y, states.hsd_exact(a, b) ** 2]
                 if stochastic:
-                    row.append(_simulated_d2(a, b, noise, (i, j)))
+                    row.append(interferometry.measure_hsd(a, b, noise, (i, j)).d2)
                 rows.append(row)
         _write_csv(os.path.join(args.out_dir, f"{target}.csv"), header, rows)
     elif target == "clusters_demo":
         points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
         _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points)
         backend = clustering.ExactHsdBackend()
-        _cluster(points, "points.csv", backend, 2, args.seed, 100, args.out_dir)
+        _cluster(points, backend, 2, args.seed, 100, args.out_dir)
     else:
         raise StateError(f"unknown reproduce target {target!r}")
     return EXIT_OK

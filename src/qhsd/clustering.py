@@ -15,9 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.encoding import encode
+from qhsd.encoding import EncodingError, encode, min_eigenvalues
 from qhsd.interferometry import NoiseModel, measure_hsd
-from qhsd.states import StateError, hsd_exact
+from qhsd.states import EIGENVALUE_TOL, StateError, hsd_exact
 
 BACKEND_KINDS = ("euclidean", "hsd_exact", "hsd_simulated")
 
@@ -68,29 +68,20 @@ def make_backend(kind: str, noise: Optional[NoiseModel] = None):
 
 
 @dataclass(frozen=True)
-class ClusterModel:
-    centroids: np.ndarray  # (k, n_features)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
-
-
-@dataclass(frozen=True)
 class KMeansResult:
-    model: ClusterModel
+    centroids: np.ndarray  # (k, n_features)
     labels: np.ndarray
     iterations: int
     cost: float
     centroid_trace: Tuple[np.ndarray, ...]
 
 
-def assign(points: np.ndarray, model: ClusterModel, backend=None, iteration: int = 0):
+def assign(points: np.ndarray, centroids: np.ndarray, backend=None, iteration: int = 0):
     """Nearest-centroid labels; ties go to the lowest centroid index."""
     if backend is None:
         backend = EuclideanBackend()
     points = np.asarray(points, dtype=float)
-    centroids = list(model.centroids)
+    centroids = list(np.asarray(centroids, dtype=float))
     dists = np.empty((points.shape[0], len(centroids)))
     for i, point in enumerate(points):
         for j, centroid in enumerate(centroids):
@@ -99,21 +90,19 @@ def assign(points: np.ndarray, model: ClusterModel, backend=None, iteration: int
     return labels, dists
 
 
-def update_centroids(
-    points: np.ndarray, labels: np.ndarray, model: ClusterModel
-) -> ClusterModel:
+def update_centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Means of the assigned points.  An empty cluster is re-seeded to the
     point farthest (euclidean) from that cluster's current centroid."""
     points = np.asarray(points, dtype=float)
-    centroids = model.centroids.copy()
-    for j in range(model.k):
+    centroids = np.array(centroids, dtype=float)
+    for j in range(centroids.shape[0]):
         mask = labels == j
         if mask.any():
             centroids[j] = points[mask].mean(axis=0)
         else:
             far = np.argmax(((points - centroids[j]) ** 2).sum(axis=1))
             centroids[j] = points[far]
-    return ClusterModel(centroids)
+    return centroids
 
 
 def _init_centroids(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,7 +124,12 @@ def kmeans(
 ) -> KMeansResult:
     """Lloyd iteration: assign, then move centroids to cluster means, until
     labels stop changing (for 3 consecutive passes under the noisy
-    hsd_simulated backend) or max_iter is reached."""
+    hsd_simulated backend) or max_iter is reached.
+
+    Before any distance, a points array that is not 2-D or has a non-finite
+    row raises StateError, and under the hsd backends (which encode without
+    validating) a row that encodes outside the state space raises
+    EncodingError; rows count from 0."""
     points = np.asarray(points, dtype=float)
     if k < 1:
         raise StateError(f"k must be >= 1, got {k}")
@@ -143,17 +137,30 @@ def kmeans(
         raise StateError("max_iter must be >= 1")
     if backend is None:
         backend = EuclideanBackend()
+    if points.ndim != 2:
+        raise StateError(f"expected a (points, features) array, got shape {points.shape}")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise StateError(f"point row {bad[0]} is not finite: {points[bad[0]].tolist()}")
+    if backend.kind != "euclidean":
+        lam = min_eigenvalues(points)
+        bad = np.flatnonzero(lam < EIGENVALUE_TOL)
+        if bad.size:
+            raise EncodingError(
+                f"point row {bad[0]} encodes outside the state space: "
+                f"min eigenvalue {lam[bad[0]]:.3e}"
+            )
     patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(init_seed)
-    model = ClusterModel(_init_centroids(points, k, rng))
-    trace: List[np.ndarray] = [model.centroids.copy()]
+    centroids = _init_centroids(points, k, rng)
+    trace: List[np.ndarray] = [centroids.copy()]
     labels = None
     cost = np.inf
     stable = 0
     iterations = 0
     for it in range(max_iter):
         iterations = it + 1
-        new_labels, dists = assign(points, model, backend, it)
+        new_labels, dists = assign(points, centroids, backend, it)
         cost = float(dists[np.arange(points.shape[0]), new_labels].sum())
         if labels is not None and np.array_equal(labels, new_labels):
             stable += 1
@@ -163,32 +170,31 @@ def kmeans(
         else:
             stable = 0
         labels = new_labels
-        model = update_centroids(points, labels, model)
-        trace.append(model.centroids.copy())
-    return KMeansResult(model, labels, iterations, cost, tuple(trace))
+        centroids = update_centroids(points, labels, centroids)
+        trace.append(centroids.copy())
+    return KMeansResult(centroids, labels, iterations, cost, tuple(trace))
 
 
-def two_gaussian_demo(
-    n_points: int = 1000,
-    seed: int = 0,
-    centers: Optional[np.ndarray] = None,
-    std: float = 0.08,
-    radius: float = 0.5,
-) -> np.ndarray:
+# The demo's blob centres, their spread, and the radius the points stay within.
+DEMO_CENTERS = np.array([[-0.22, -0.15, 0.10], [0.20, 0.18, -0.08]])
+DEMO_CENTERS.setflags(write=False)
+DEMO_STD = 0.08
+DEMO_RADIUS = 0.5
+
+
+def two_gaussian_demo(n_points: int = 1000, seed: int = 0) -> np.ndarray:
     """Two Gaussian blobs of 3D points, resampled to stay inside the ball of
-    the given radius.  Deterministic for a fixed seed."""
-    if centers is None:
-        centers = np.array([[-0.22, -0.15, 0.10], [0.20, 0.18, -0.08]])
+    radius DEMO_RADIUS.  Deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     half = n_points // 2
     sizes = (half, n_points - half)
     out = []
-    for c, size in zip(centers, sizes):
+    for c, size in zip(DEMO_CENTERS, sizes):
         pts = np.empty((size, 3))
         filled = 0
         while filled < size:
-            cand = c + std * rng.standard_normal((size - filled, 3))
-            keep = cand[np.linalg.norm(cand, axis=1) <= radius]
+            cand = c + DEMO_STD * rng.standard_normal((size - filled, 3))
+            keep = cand[np.linalg.norm(cand, axis=1) <= DEMO_RADIUS]
             pts[filled : filled + keep.shape[0]] = keep
             filled += keep.shape[0]
         out.append(pts)

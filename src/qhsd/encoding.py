@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -115,16 +115,13 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
-        return _encode(u, validate)
+        raise StateError(f"expected a feature vector, got shape {u.shape}")
     return _encode_bytes(u.tobytes(), validate)
 
 
 @lru_cache(maxsize=ENCODE_CACHE_SIZE)
 def _encode_bytes(data: bytes, validate: bool) -> DensityMatrix:
-    return _encode(np.frombuffer(data), validate)
-
-
-def _encode(u: np.ndarray, validate: bool) -> DensityMatrix:
+    u = np.frombuffer(data)
     basis = generator_basis(_n_qubits_for_length(u.shape[0]))
     m = basis.mixed + np.einsum("i,ijk->jk", u, basis.generators)
     if validate:
@@ -156,12 +153,11 @@ def hypercube_scale(dim: int, l: float) -> float:
     return safe_radius(dim) / (l * np.sqrt(dim ** 2 - 1))
 
 
-def embed_hypercube(x: Sequence[float], l: float, n_qubits: Optional[int] = None) -> np.ndarray:
+def embed_hypercube(x: Sequence[float], l: float) -> np.ndarray:
     """Rescale raw data from [-l, l] per component into the safe ball, so the
     encoded matrix is positive for every point of the cube."""
     x = np.asarray(x, dtype=float)
-    if n_qubits is None:
-        n_qubits = _n_qubits_for_length(x.shape[0])
+    n_qubits = _n_qubits_for_length(x.shape[0])
     if np.abs(x).max(initial=0.0) > l * (1 + 1e-12):
         raise StateError(f"component magnitude exceeds l={l}")
     return x * hypercube_scale(2 ** n_qubits, l)

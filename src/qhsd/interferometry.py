@@ -121,7 +121,7 @@ class EnsembleSpec:
 
     def average(self) -> DensityMatrix:
         m = sum(w * s.matrix for w, s in self.members)
-        return DensityMatrix.from_array(m, validate=False)
+        return DensityMatrix(m)
 
 
 _SINGLET = make_bell(BellKind.PSI_MINUS).matrix
@@ -201,13 +201,6 @@ def _rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def _stream_rng(seed: int, key: Sequence[int]) -> np.random.Generator:
-    """Independent substream per (seed, key...), so draws are
-    order-independent; the same stream as np.random.default_rng([seed mod
-    2^64, *key])."""
-    return _rng(_stream_words(seed, key))
-
-
 def _draw_counts(
     probs: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> np.ndarray:
@@ -227,32 +220,24 @@ def _draw_counts(
     return counts
 
 
-def _estimate_from_arrays(
-    counts: np.ndarray, weights: np.ndarray, shots: int, mode: str
-) -> Tuple[float, float]:
-    f0 = counts[0]
-    if f0 <= 0:
-        raise EstimationError("f_II = 0: cannot normalize the overlap estimate")
-    rest = counts[1:]
-    wrest = weights[1:]
-    acc = float(wrest @ rest)
-    value = 1.0 + acc / f0
-    if mode == "exact":
-        return value, 0.0
-    if mode == "binomial":
-        phat = np.clip(counts / shots, 0.0, 1.0)
-        var = shots * phat * (1.0 - phat)
-    else:
-        var = counts.astype(float)
-    var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
-    return value, float(np.sqrt(var_value))
-
-
 def estimate_overlap(counts: CoincidenceCounts, mode: str = "binomial") -> OverlapEstimate:
     """Overlap and first-order-propagated uncertainty from coincidence rates."""
-    value, err = _estimate_from_arrays(
-        np.array(counts.rates), _config_weights(counts.n_qubits), counts.shots_per_config, mode
-    )
+    rates = np.array(counts.rates)
+    f0 = rates[0]
+    if f0 <= 0:
+        raise EstimationError("f_II = 0: cannot normalize the overlap estimate")
+    wrest = _config_weights(counts.n_qubits)[1:]
+    acc = float(wrest @ rates[1:])
+    value = 1.0 + acc / f0
+    err = 0.0
+    if mode != "exact":
+        if mode == "binomial":
+            phat = np.clip(rates / counts.shots_per_config, 0.0, 1.0)
+            var = counts.shots_per_config * phat * (1.0 - phat)
+        else:
+            var = rates.astype(float)
+        var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
+        err = float(np.sqrt(var_value))
     return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, counts)
 
 

@@ -80,10 +80,9 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def from_array(cls, matrix, validate: bool = True) -> "DensityMatrix":
+    def from_array(cls, matrix) -> "DensityMatrix":
         m = np.asarray(matrix, dtype=complex)
-        if validate:
-            _validate_matrix(m)
+        _validate_matrix(m)
         return cls(m)
 
     @property

@@ -368,6 +368,20 @@ def test_cluster_names_ragged_row(tmp_path, capsys, body, row, cols):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, bad", [
+    ("0.1,0,x\n0.2,0,0\n-0.1,0,0\n", ["0.1", "0", "x"]),
+    ("x1,x2,x3\nlabel,a,b\n0.1,0,0\n-0.1,0,0\n", ["label", "a", "b"]),
+], ids=["partly_numeric_first_row", "second_text_row"])
+def test_cluster_header_is_one_all_text_first_row(tmp_path, capsys, body, bad):
+    path = tmp_path / "points.csv"
+    path.write_text(body)
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: non-numeric row in {path}: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_byte_identical(tmp_path, capsys):
     for d in ("x", "y"):
         run(capsys, "reproduce", "werner_grid", "--out-dir", str(tmp_path / d))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qhsd.clustering import (
-    ClusterModel,
+    BACKEND_KINDS,
     EuclideanBackend,
     ExactHsdBackend,
     SimulatedHsdBackend,
@@ -12,20 +12,20 @@ from qhsd.clustering import (
     two_gaussian_demo,
     update_centroids,
 )
-from qhsd.encoding import encode
+from qhsd.encoding import EncodingError, encode
 from qhsd.interferometry import NoiseModel
 from qhsd.states import StateError
 
 
 def test_assign_point_on_centroid():
-    model = ClusterModel(np.array([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.0]]))
-    labels, _ = assign(np.array([[-0.2, 0.1, 0.0]]), model)
+    centroids = np.array([[0.1, 0.0, 0.0], [-0.2, 0.1, 0.0]])
+    labels, _ = assign(np.array([[-0.2, 0.1, 0.0]]), centroids)
     assert labels[0] == 1
 
 
 def test_assign_tie_goes_to_lowest_index():
-    model = ClusterModel(np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]]))
-    labels, _ = assign(np.array([[0.0, 0.0, 0.0]]), model)
+    centroids = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
+    labels, _ = assign(np.array([[0.0, 0.0, 0.0]]), centroids)
     assert labels[0] == 0
 
 
@@ -33,9 +33,9 @@ def test_exact_backends_agree_on_random_points():
     rng = np.random.default_rng(0)
     points = rng.standard_normal((1000, 3))
     points *= (0.5 * rng.random(1000) / np.linalg.norm(points, axis=1))[:, None]
-    model = ClusterModel(points[rng.choice(1000, 2, replace=False)])
-    l_euc, _ = assign(points, model, EuclideanBackend())
-    l_hsd, _ = assign(points, model, ExactHsdBackend())
+    centroids = points[rng.choice(1000, 2, replace=False)]
+    l_euc, _ = assign(points, centroids, EuclideanBackend())
+    l_hsd, _ = assign(points, centroids, ExactHsdBackend())
     assert np.array_equal(l_euc, l_hsd)
 
 
@@ -58,17 +58,17 @@ def test_simulated_backend_requires_noise():
 
 def test_update_centroids_means():
     points = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.4]])
-    model = ClusterModel(np.array([[0.0, 0.0], [1.0, 1.0]]))
-    out = update_centroids(points, np.array([0, 0, 1]), model)
-    assert np.allclose(out.centroids[0], [0.1, 0.0])
-    assert np.allclose(out.centroids[1], [0.0, 0.4])
+    out = update_centroids(points, np.array([0, 0, 1]), np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert np.allclose(out[0], [0.1, 0.0])
+    assert np.allclose(out[1], [0.0, 0.4])
 
 
 def test_update_centroids_empty_cluster_reseeds_farthest():
     points = np.array([[0.0, 0.0], [0.1, 0.0], [0.9, 0.9]])
-    model = ClusterModel(np.array([[0.05, 0.0], [0.0, 0.0]]))
-    out = update_centroids(points, np.array([0, 0, 0]), model)
-    assert np.allclose(out.centroids[1], [0.9, 0.9])
+    centroids = np.array([[0.05, 0.0], [0.0, 0.0]])
+    out = update_centroids(points, np.array([0, 0, 0]), centroids)
+    assert np.allclose(out[1], [0.9, 0.9])
+    assert np.array_equal(centroids, [[0.05, 0.0], [0.0, 0.0]])  # input left unchanged
 
 
 def test_centroid_means_stay_encodable():
@@ -82,7 +82,7 @@ def test_centroid_means_stay_encodable():
 def test_kmeans_k1_is_global_mean():
     points = two_gaussian_demo(100, seed=2)
     result = kmeans(points, 1, init_seed=0)
-    assert np.allclose(result.model.centroids[0], points.mean(axis=0))
+    assert np.allclose(result.centroids[0], points.mean(axis=0))
     assert result.iterations <= 2
 
 
@@ -97,7 +97,7 @@ def test_kmeans_deterministic():
     r1 = kmeans(points, 2, init_seed=11)
     r2 = kmeans(points, 2, init_seed=11)
     assert np.array_equal(r1.labels, r2.labels)
-    assert np.array_equal(r1.model.centroids, r2.model.centroids)
+    assert np.array_equal(r1.centroids, r2.centroids)
     assert r1.iterations == r2.iterations
 
 
@@ -105,16 +105,15 @@ def test_kmeans_cost_non_increasing():
     rng = np.random.default_rng(4)
     points = rng.uniform(-0.25, 0.25, (400, 3))
     costs = []
-    model = None
     labels = None
     # replay Lloyd manually to watch the cost sequence
     from qhsd.clustering import _init_centroids
 
-    model = ClusterModel(_init_centroids(points, 3, np.random.default_rng(5)))
+    centroids = _init_centroids(points, 3, np.random.default_rng(5))
     for _ in range(15):
-        labels, dists = assign(points, model)
+        labels, dists = assign(points, centroids)
         costs.append(dists[np.arange(len(points)), labels].sum())
-        model = update_centroids(points, labels, model)
+        centroids = update_centroids(points, labels, centroids)
     assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
 
@@ -123,7 +122,7 @@ def test_kmeans_fixed_point_stable():
     r1 = kmeans(points, 2, init_seed=7, max_iter=100)
     r2 = kmeans(points, 2, init_seed=7, max_iter=r1.iterations + 1)
     assert np.array_equal(r1.labels, r2.labels)
-    assert np.allclose(r1.model.centroids, r2.model.centroids)
+    assert np.allclose(r1.centroids, r2.centroids)
 
 
 def test_demo_euclidean_vs_hsd_exact_identical():
@@ -165,3 +164,36 @@ def test_kmeans_rejects_k_below_one(k):
     with pytest.raises(StateError, match=f"k must be >= 1, got {k}"):
         kmeans(two_gaussian_demo(20), k, backend=backend)
     assert backend.calls == 0
+
+
+@pytest.mark.parametrize("points", [[0.1, 0.2, 0.3], np.zeros((2, 3, 1))])
+def test_kmeans_rejects_points_not_2d(points):
+    with pytest.raises(StateError, match=r"expected a \(points, features\) array, got shape"):
+        kmeans(points, 1)
+
+
+@pytest.mark.parametrize("kind", BACKEND_KINDS)
+@pytest.mark.parametrize("row", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.9, 0.0, 0.0]],
+                         ids=["nan", "inf", "outside"])
+def test_kmeans_checks_points(monkeypatch, kind, row):
+    backend = make_backend(kind, NoiseModel("binomial", 1000, 0))
+    calls = []
+    distance_sq = type(backend).distance_sq
+
+    def counted(self, u, v, key=()):
+        calls.append(key)
+        return distance_sq(self, u, v, key)
+
+    monkeypatch.setattr(type(backend), "distance_sq", counted)
+    points = np.array([[0.1, 0.0, 0.0], row, [-0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    if not np.isfinite(row).all():
+        with pytest.raises(StateError, match=r"^point row 1 is not finite: "):
+            kmeans(points, 2, backend=backend)
+    elif kind == "euclidean":
+        assert kmeans(points, 2, backend=backend).labels.shape == (4,)
+        assert calls
+        return
+    else:
+        with pytest.raises(EncodingError, match=r"^point row 1 encodes outside the state space: "):
+            kmeans(points, 2, backend=backend)
+    assert calls == []

@@ -12,7 +12,8 @@ from qhsd.interferometry import (
     NoiseModel,
     _draw_counts,
     _povm_functional,
-    _stream_rng,
+    _rng,
+    _stream_words,
     ensemble_measure,
     estimate_overlap,
     measure_hsd,
@@ -193,7 +194,7 @@ _KEYS = st.lists(st.integers(0, 2 ** 40), max_size=6)
 @settings(max_examples=200, deadline=None)
 @given(_SEEDS, _KEYS, st.integers(1, 10 ** 6), st.floats(0.0, 1.0), st.floats(0.0, 1e4))
 def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
-    rng, oracle = _stream_rng(seed, key), _seed_stream_rng(seed, key)
+    rng, oracle = _rng(_stream_words(seed, key)), _seed_stream_rng(seed, key)
     assert rng.binomial(shots, p, size=3).tolist() == oracle.binomial(shots, p, size=3).tolist()
     assert rng.poisson(lam, size=3).tolist() == oracle.poisson(lam, size=3).tolist()
 
@@ -215,7 +216,7 @@ def test_stream_rng_rejects_negative_key():
         with pytest.raises(ValueError):
             _seed_stream_rng(0, key)
         with pytest.raises(ValueError):
-            _stream_rng(0, key)
+            _stream_words(0, key)
 
 
 def test_povm_functional_qubit_range():

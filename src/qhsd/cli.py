@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from qhsd import clustering, interferometry, states
-from qhsd.encoding import EncodingError
 from qhsd.interferometry import EstimationError, NoiseModel
 from qhsd.states import BellKind, DensityMatrix, StateError
 
@@ -71,10 +70,6 @@ def _inline_json(spec: str) -> dict:
     return {"named": name, "params": {key: value}}
 
 
-def _noise_from_args(args) -> NoiseModel:
-    return NoiseModel(args.noise, args.shots, args.seed)
-
-
 def _noise_dict(noise: NoiseModel) -> dict:
     return {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed}
 
@@ -121,36 +116,31 @@ def _simulated_report(m: interferometry.HsdMeasurement) -> dict:
     }
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args, noise: NoiseModel) -> None:
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
-    noise = _noise_from_args(args)
     if args.mode == "exact":
         payload = {"mode": "exact", **_exact_report(a, b)}
     else:
         m = interferometry.measure_hsd(a, b, noise)
         payload = {"mode": "simulated", "noise": _noise_dict(noise), **_simulated_report(m)}
     _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_overlap(args) -> int:
+def cmd_overlap(args, noise: NoiseModel) -> None:
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
     if args.mode == "exact":
         payload = {"mode": "exact", "overlap": states.overlap_exact(a, b)}
     else:
-        noise = _noise_from_args(args)
         est = interferometry.measure_overlap(a, b, noise)
         payload = {"mode": "simulated", "noise": _noise_dict(noise), "overlap": _overlap_dict(est)}
     _emit(payload, args)
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, noise: NoiseModel) -> None:
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
-    noise = _noise_from_args(args)
     m = interferometry.measure_hsd(a, b, noise)
     payload = {
         "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": _noise_dict(noise)},
@@ -161,7 +151,6 @@ def cmd_simulate(args) -> int:
         **_simulated_report(m),
     }
     _emit(payload, args)
-    return EXIT_OK
 
 
 def _parse_cell(cell: str) -> Optional[float]:
@@ -228,76 +217,63 @@ def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_
         fh.write(json.dumps(model, indent=2, sort_keys=True) + "\n")
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args, noise: NoiseModel) -> None:
     points = _read_points_csv(args.points)
-    noise = _noise_from_args(args) if args.backend == "hsd_simulated" else None
     backend = clustering.make_backend(args.backend, noise)
     _cluster(points, backend, args.k, args.seed, args.max_iter, args.out_dir)
-    return EXIT_OK
 
 
-def _state_table(names: List[str], factory, noise: NoiseModel, out_dir: str, stem: str) -> None:
-    mats = [factory(n) for n in names]
-    rows = [[name] + [_exact_report(a, b)["d2"] for b in mats] for name, a in zip(names, mats)]
-    _write_csv(os.path.join(out_dir, f"{stem}.csv"), [""] + names, rows)
+def _pair_tables(mats_a, mats_b, exact_d2, noise: NoiseModel) -> List[List[List[float]]]:
+    """d2 of every pair (a, b), one row per a: the table of exact_d2(a, b),
+    then under a stochastic noise mode the measured table, stream key (i, j)."""
+    tables = [[[exact_d2(a, b) for b in mats_b] for a in mats_a]]
     if noise.mode != "exact":
-        sim_rows = []
-        for i, a in enumerate(mats):
-            row = [names[i]]
-            for j, b in enumerate(mats):
-                row.append(interferometry.measure_hsd(a, b, noise, (i, j)).d2)
-            sim_rows.append(row)
-        _write_csv(os.path.join(out_dir, f"{stem}_simulated.csv"), [""] + names, sim_rows)
+        tables.append([
+            [interferometry.measure_hsd(a, b, noise, (i, j)).d2 for j, b in enumerate(mats_b)]
+            for i, a in enumerate(mats_a)
+        ])
+    return tables
 
 
-def cmd_reproduce(args) -> int:
-    noise = _noise_from_args(args)
+def cmd_reproduce(args, noise: NoiseModel) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     target = args.target
-    if target == "bell_table":
-        _state_table(
-            BELL_ORDER, lambda n: states.make_bell(BellKind(n)), noise, args.out_dir, "bell_table"
-        )
-    elif target == "separable_table":
-        _state_table(
-            SEPARABLE_ORDER, states.make_separable, noise, args.out_dir, "separable_table"
-        )
-    elif target in ("werner_grid", "werner_horodecki_grid"):
-        grid = np.linspace(0.0, 1.0, 21)
-        if target == "werner_grid":
-            header = ["p_x", "p_y", "d2"]
-            make_a, make_b = states.make_werner, states.make_werner
-        else:
-            header = ["p", "q", "d2"]
-            make_a, make_b = states.make_werner, states.make_horodecki
-        stochastic = noise.mode != "exact"
-        if stochastic:
-            header = header + ["d2_simulated"]
-        mats_a = [make_a(x) for x in grid]
-        mats_b = [make_b(y) for y in grid]
-        rows = []
-        for i, (x, a) in enumerate(zip(grid, mats_a)):
-            for j, (y, b) in enumerate(zip(grid, mats_b)):
-                row = [x, y, states.hsd_exact(a, b) ** 2]
-                if stochastic:
-                    row.append(interferometry.measure_hsd(a, b, noise, (i, j)).d2)
-                rows.append(row)
-        _write_csv(os.path.join(args.out_dir, f"{target}.csv"), header, rows)
-    elif target == "clusters_demo":
+    path = os.path.join(args.out_dir, target)
+    if target == "clusters_demo":
         points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
         _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points)
-        backend = clustering.ExactHsdBackend()
-        _cluster(points, backend, 2, args.seed, 100, args.out_dir)
+        _cluster(points, clustering.ExactHsdBackend(), 2, args.seed, 100, args.out_dir)
+    elif target in ("bell_table", "separable_table"):
+        if target == "bell_table":
+            names, mats = BELL_ORDER, [states.make_bell(BellKind(n)) for n in BELL_ORDER]
+        else:
+            names, mats = SEPARABLE_ORDER, [states.make_separable(n) for n in SEPARABLE_ORDER]
+        tables = _pair_tables(mats, mats, lambda a, b: _exact_report(a, b)["d2"], noise)
+        for suffix, table in zip(("", "_simulated"), tables):
+            rows = [[name] + row for name, row in zip(names, table)]
+            _write_csv(f"{path}{suffix}.csv", [""] + names, rows)
     else:
-        raise StateError(f"unknown reproduce target {target!r}")
-    return EXIT_OK
+        grid = np.linspace(0.0, 1.0, 21)
+        if target == "werner_grid":
+            header, make_b = ["p_x", "p_y"], states.make_werner
+        else:
+            header, make_b = ["p", "q"], states.make_horodecki
+        mats_a = [states.make_werner(x) for x in grid]
+        mats_b = [make_b(y) for y in grid]
+        tables = _pair_tables(mats_a, mats_b, lambda a, b: states.hsd_exact(a, b) ** 2, noise)
+        rows = [
+            [x, y] + [table[i][j] for table in tables]
+            for i, x in enumerate(grid)
+            for j, y in enumerate(grid)
+        ]
+        _write_csv(f"{path}.csv", header + ["d2", "d2_simulated"][: len(tables)], rows)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
     p.add_argument("--shots", type=int, default=10_000, help="trials per POVM configuration")
     p.add_argument(
-        "--noise", choices=["exact", "binomial", "poisson"], default="exact",
+        "--noise", choices=list(interferometry.NOISE_MODES), default="exact",
         help="counting-statistics model",
     )
 
@@ -352,16 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.shots < 1:
-            raise StateError(f"--shots must be >= 1, got {args.shots}")
-        return args.func(args)
+        args.func(args, NoiseModel(args.noise, args.shots, args.seed))
+        return EXIT_OK
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    except (StateError, EncodingError, ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

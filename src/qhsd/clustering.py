@@ -76,10 +76,8 @@ class KMeansResult:
     centroid_trace: Tuple[np.ndarray, ...]
 
 
-def assign(points: np.ndarray, centroids: np.ndarray, backend=None, iteration: int = 0):
+def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
     """Nearest-centroid labels; ties go to the lowest centroid index."""
-    if backend is None:
-        backend = EuclideanBackend()
     points = np.asarray(points, dtype=float)
     centroids = list(np.asarray(centroids, dtype=float))
     dists = np.empty((points.shape[0], len(centroids)))

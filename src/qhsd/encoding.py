@@ -99,6 +99,12 @@ def safe_radius(dim: int) -> float:
     return float(1.0 / np.sqrt(2.0 * dim * (dim - 1)))
 
 
+def _matrices(u: np.ndarray) -> np.ndarray:
+    """I/D + sum_i u_i G_i for a vector u, or for every row of a stack."""
+    basis = generator_basis(_n_qubits_for_length(u.shape[-1]))
+    return basis.mixed + np.einsum("...i,ijk->...jk", u, basis.generators)
+
+
 # Encoded matrices kept for recently seen vectors.  k-means encodes every
 # centroid once per point and every point once per centroid, so a handful of
 # entries catches most calls; the bound keeps 16x16 states cheap to hold.
@@ -121,9 +127,7 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
 
 @lru_cache(maxsize=ENCODE_CACHE_SIZE)
 def _encode_bytes(data: bytes, validate: bool) -> DensityMatrix:
-    u = np.frombuffer(data)
-    basis = generator_basis(_n_qubits_for_length(u.shape[0]))
-    m = basis.mixed + np.einsum("i,ijk->jk", u, basis.generators)
+    m = _matrices(np.frombuffer(data))
     if validate:
         lam = float(np.linalg.eigvalsh(m)[0])
         if lam < EIGENVALUE_TOL:
@@ -134,10 +138,7 @@ def _encode_bytes(data: bytes, validate: bool) -> DensityMatrix:
 def min_eigenvalues(points: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of encode(u) for every row u of `points`, from one
     batched eigendecomposition of the stacked matrices."""
-    points = np.asarray(points, dtype=float)
-    basis = generator_basis(_n_qubits_for_length(points.shape[1]))
-    m = basis.mixed + np.einsum("ni,ijk->njk", points, basis.generators)
-    return np.linalg.eigvalsh(m)[:, 0]
+    return np.linalg.eigvalsh(_matrices(np.asarray(points, dtype=float)))[:, 0]
 
 
 def decode(rho: DensityMatrix) -> np.ndarray:

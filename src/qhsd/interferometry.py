@@ -30,11 +30,12 @@ from qhsd.states import (
     BellKind,
     DensityMatrix,
     StateError,
+    check_same_dim,
     hsd_from_overlaps,
     make_bell,
 )
 
-_NOISE_MODES = ("exact", "binomial", "poisson")
+NOISE_MODES = ("exact", "binomial", "poisson")
 
 
 class EstimationError(ValueError):
@@ -55,10 +56,17 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in _NOISE_MODES:
-            raise StateError(f"unknown noise mode {self.mode!r}")
+        _check_mode(self.mode)
+        for name, value in (("shots", self.shots), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise StateError(f"{name} must be an integer, got {value!r}")
         if self.shots < 1:
-            raise StateError("shots must be >= 1")
+            raise StateError(f"shots must be >= 1, got {self.shots}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in NOISE_MODES:
+        raise StateError(f"unknown noise mode {mode!r}")
 
 
 _BITS_TO_LETTERS = str.maketrans("01", "IS")
@@ -79,6 +87,11 @@ class CoincidenceCounts:
 
     rates: Tuple[float, ...]
     shots_per_config: int
+
+    def __post_init__(self):
+        n = len(self.rates)
+        if not 2 <= n <= 2 ** MAX_QUBITS or n & (n - 1):
+            raise StateError(f"{n} rates, expected 2^n for n in 1..{MAX_QUBITS}")
 
     @property
     def n_qubits(self) -> int:
@@ -118,10 +131,6 @@ class EnsembleSpec:
         for w, _ in self.members:
             if not 0.0 <= w <= 1.0:
                 raise StateError(f"ensemble weight {w} outside [0, 1]")
-
-    def average(self) -> DensityMatrix:
-        m = sum(w * s.matrix for w, s in self.members)
-        return DensityMatrix(m)
 
 
 _SINGLET = make_bell(BellKind.PSI_MINUS).matrix
@@ -168,8 +177,7 @@ def _povm_functional(n: int) -> np.ndarray:
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n configurations of two n-qubit states, in
     configuration order (see CoincidenceCounts): II, IS, SI, SS for n = 2."""
-    if rho1.dim != rho2.dim:
-        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    check_same_dim(rho1, rho2)
     k = _povm_functional(rho1.n_qubits)
     return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
 
@@ -220,8 +228,10 @@ def _draw_counts(
     return counts
 
 
-def estimate_overlap(counts: CoincidenceCounts, mode: str = "binomial") -> OverlapEstimate:
-    """Overlap and first-order-propagated uncertainty from coincidence rates."""
+def estimate_overlap(counts: CoincidenceCounts, mode: str) -> OverlapEstimate:
+    """Overlap and first-order-propagated uncertainty from coincidence rates
+    counted under the noise mode `mode`."""
+    _check_mode(mode)
     rates = np.array(counts.rates)
     f0 = rates[0]
     if f0 <= 0:
@@ -269,8 +279,7 @@ def measure_hsd(
     stream_key: Sequence[int] = (),
 ) -> HsdMeasurement:
     """Measure O(1,1), O(2,2), O(1,2) and combine them into the distance."""
-    if rho1.dim != rho2.dim:
-        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    check_same_dim(rho1, rho2)
     o11 = measure_overlap(rho1, rho1, noise, (*stream_key, 0))
     o22 = measure_overlap(rho2, rho2, noise, (*stream_key, 1))
     o12 = measure_overlap(rho1, rho2, noise, (*stream_key, 2))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -96,9 +96,6 @@ class DensityMatrix:
             raise StateError(f"dimension {d} is not a power of two")
         return d.bit_length() - 1
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 def maximally_mixed(dim: int) -> DensityMatrix:
     """I/dim; dim must be a power of two in 2..2^MAX_QUBITS."""
@@ -144,14 +141,14 @@ def make_horodecki(q: float) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
+def check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
     if a.dim != b.dim:
         raise StateError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def overlap_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """First-order overlap Tr(a b)."""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     return float(np.real(np.trace(a.matrix @ b.matrix)))
 
 
@@ -162,24 +159,18 @@ def purity(a: DensityMatrix) -> float:
 
 def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2])."""
-    _check_same_dim(a, b)
+    check_same_dim(a, b)
     d = a.matrix - b.matrix
     return math.sqrt(max(0.0, (d @ d).trace().real))
 
 
-class HsdFromOverlaps(NamedTuple):
-    """HSD assembled from the three first-order overlaps; `clamped` is set
-    when shot noise drove the radicand negative and it was clamped to 0."""
-
-    value: float
-    clamped: bool
-
-
-def hsd_from_overlaps(o11: float, o22: float, o12: float) -> HsdFromOverlaps:
+def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, bool]:
+    """HSD assembled from the three first-order overlaps, and whether shot
+    noise drove the radicand negative so that it was clamped to 0."""
     radicand = o11 + o22 - 2.0 * o12
     if radicand < 0.0:
-        return HsdFromOverlaps(0.0, True)
-    return HsdFromOverlaps(float(np.sqrt(radicand)), False)
+        return 0.0, True
+    return float(np.sqrt(radicand)), False
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import string
 import tempfile
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhsd import cli
+from qhsd import cli, states
 from qhsd.clustering import BACKEND_KINDS
+from qhsd.interferometry import NOISE_MODES, NoiseModel, measure_hsd
 
 
 def run(capsys, *argv):
@@ -386,3 +388,82 @@ def test_reproduce_byte_identical(tmp_path, capsys):
     for d in ("x", "y"):
         run(capsys, "reproduce", "werner_grid", "--out-dir", str(tmp_path / d))
     assert (tmp_path / "x" / "werner_grid.csv").read_bytes() == (tmp_path / "y" / "werner_grid.csv").read_bytes()
+
+
+# Reference for the reproduce grid targets: a separate loop per state table
+# and per grid, as the command had before all four shared one pair loop, kept
+# as an oracle for the output bytes.
+
+def _oracle_write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
+
+
+def _oracle_state_table(names, factory, noise, out_dir, stem):
+    mats = [factory(n) for n in names]
+    rows = []
+    for name, a in zip(names, mats):
+        row = [name]
+        for b in mats:
+            o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
+            row.append(o11 + o22 - 2.0 * o12)
+        rows.append(row)
+    _oracle_write_csv(os.path.join(out_dir, f"{stem}.csv"), [""] + names, rows)
+    if noise.mode != "exact":
+        sim_rows = []
+        for i, a in enumerate(mats):
+            row = [names[i]]
+            for j, b in enumerate(mats):
+                row.append(measure_hsd(a, b, noise, (i, j)).d2)
+            sim_rows.append(row)
+        _oracle_write_csv(os.path.join(out_dir, f"{stem}_simulated.csv"), [""] + names, sim_rows)
+
+
+def _oracle_grid(target, noise, out_dir):
+    grid = np.linspace(0.0, 1.0, 21)
+    if target == "werner_grid":
+        header, make_b = ["p_x", "p_y", "d2"], states.make_werner
+    else:
+        header, make_b = ["p", "q", "d2"], states.make_horodecki
+    stochastic = noise.mode != "exact"
+    if stochastic:
+        header = header + ["d2_simulated"]
+    mats_a = [states.make_werner(x) for x in grid]
+    mats_b = [make_b(y) for y in grid]
+    rows = []
+    for i, (x, a) in enumerate(zip(grid, mats_a)):
+        for j, (y, b) in enumerate(zip(grid, mats_b)):
+            row = [x, y, states.hsd_exact(a, b) ** 2]
+            if stochastic:
+                row.append(measure_hsd(a, b, noise, (i, j)).d2)
+            rows.append(row)
+    _oracle_write_csv(os.path.join(out_dir, f"{target}.csv"), header, rows)
+
+
+_ORACLES = {
+    "bell_table": lambda noise, out: _oracle_state_table(
+        ["phi+", "phi-", "psi+", "psi-"], lambda n: states.make_bell(states.BellKind(n)),
+        noise, out, "bell_table"),
+    "separable_table": lambda noise, out: _oracle_state_table(
+        ["00", "11", "01", "10"], states.make_separable, noise, out, "separable_table"),
+    "werner_grid": lambda noise, out: _oracle_grid("werner_grid", noise, out),
+    "werner_horodecki_grid": lambda noise, out: _oracle_grid("werner_horodecki_grid", noise, out),
+}
+
+
+@pytest.mark.parametrize("noise", NOISE_MODES)
+@pytest.mark.parametrize("target", list(_ORACLES))
+def test_reproduce_grids_match_seed_loops(tmp_path, capsys, target, noise):
+    code, out, err = run(capsys, "reproduce", target, "--out-dir", str(tmp_path / "cli"),
+                         "--noise", noise, "--shots", "1000", "--seed", "2")
+    assert (code, out, err) == (0, "", "")
+    os.mkdir(tmp_path / "oracle")
+    _ORACLES[target](NoiseModel(noise, 1000, 2), str(tmp_path / "oracle"))
+    written = sorted(os.listdir(tmp_path / "cli"))
+    assert written == sorted(os.listdir(tmp_path / "oracle"))
+    assert len(written) == (1 if noise == "exact" or target.endswith("_grid") else 2)
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()

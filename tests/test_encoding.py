@@ -115,7 +115,7 @@ def test_safe_radius_sufficient_not_necessary():
     for _ in range(200):
         u = rng.standard_normal(15)
         u *= safe_radius(4) / np.linalg.norm(u)
-        assert float(encode(u).eigenvalues()[0]) >= -1e-12
+        assert float(np.linalg.eigvalsh(encode(u).matrix)[0]) >= -1e-12
     # a pure-state direction stays positive well beyond the safe radius
     u = decode(make_bell(BellKind.PHI_PLUS))
     scaled = u * (safe_radius(4) * 1.5) / np.linalg.norm(u)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qhsd.interferometry import (
     CoincidenceCounts,
     EnsembleSpec,
+    NOISE_MODES,
     EstimationError,
     NoiseModel,
     _draw_counts,
@@ -228,13 +229,58 @@ def test_povm_functional_qubit_range():
 
 def test_estimate_overlap_arithmetic():
     counts = CoincidenceCounts((1600, 400, 400, 100), 1600)
-    est = estimate_overlap(counts)
+    est = estimate_overlap(counts, "binomial")
     assert est.value == pytest.approx(0.25, abs=1e-12)
     assert not est.clamped
-    quiet = estimate_overlap(CoincidenceCounts((1000, 0, 0, 0), 1000))
+    quiet = estimate_overlap(CoincidenceCounts((1000, 0, 0, 0), 1000), "binomial")
     assert quiet.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EstimationError):
-        estimate_overlap(CoincidenceCounts((0, 1, 1, 1), 10))
+        estimate_overlap(CoincidenceCounts((0, 1, 1, 1), 10), "binomial")
+
+
+def test_estimate_overlap_refuses_unknown_mode():
+    counts = CoincidenceCounts((1000.0, 10.0, 12.0, 1.0), 1000)
+    for mode in ("bogus", "binomal", "Poisson"):
+        with pytest.raises(StateError, match=f"unknown noise mode {mode!r}"):
+            estimate_overlap(counts, mode)
+    errors = [estimate_overlap(counts, mode).std_error for mode in NOISE_MODES]
+    assert errors[0] == 0.0 and errors[1] != errors[2]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shots", 2.5),
+    ("shots", True),
+    ("shots", "1000"),
+    ("shots", np.bool_(True)),
+    ("shots", np.float64(1000.0)),
+    ("seed", 1.5),
+    ("seed", False),
+    ("seed", None),
+])
+def test_noise_model_requires_integer_shots_and_seed(field, value):
+    with pytest.raises(StateError, match=f"{field} must be an integer"):
+        NoiseModel(**{"mode": "binomial", "shots": 1000, "seed": 1, field: value})
+
+
+def test_noise_model_accepts_numpy_integers():
+    a, b = make_werner(0.2), make_werner(0.7)
+    numpy_ints = NoiseModel("binomial", np.int64(1000), np.uint32(7))
+    assert measure_hsd(a, b, numpy_ints) == measure_hsd(a, b, NoiseModel("binomial", 1000, 7))
+    with pytest.raises(StateError, match="shots must be >= 1, got 0"):
+        NoiseModel("binomial", np.int32(0), 7)
+
+
+@pytest.mark.parametrize("n_rates", [0, 1, 3, 6, 12, 32])
+def test_coincidence_counts_need_two_to_the_n_rates(n_rates):
+    with pytest.raises(StateError, match=f"^{n_rates} rates"):
+        CoincidenceCounts((1.0,) * n_rates, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coincidence_counts_of_every_qubit_count(n):
+    counts = CoincidenceCounts((10.0,) + (0.0,) * (2 ** n - 1), 10)
+    assert counts.n_qubits == n
+    assert estimate_overlap(counts, "binomial").value == 1.0
 
 
 def test_overlap_coverage_orthogonal_bells():

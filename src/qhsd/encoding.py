@@ -17,7 +17,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import EIGENVALUE_TOL, MAX_QUBITS, DensityMatrix, StateError
+from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_n_qubits
 
 
 class EncodingError(ValueError):
@@ -54,8 +54,7 @@ class GeneratorBasis:
 def generator_basis(n_qubits: int) -> GeneratorBasis:
     """Pauli strings over n qubits (identity string excluded), lexicographic
     in the letters I < X < Y < Z, scaled by 1/sqrt(2^(n-1))."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise StateError(f"n_qubits={n_qubits} outside supported range 1..{MAX_QUBITS}")
+    check_n_qubits(n_qubits)
     scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
     labels = []
     mats = []

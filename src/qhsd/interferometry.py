@@ -19,6 +19,7 @@ first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -30,6 +31,7 @@ from qhsd.states import (
     BellKind,
     DensityMatrix,
     StateError,
+    check_n_qubits,
     check_same_dim,
     hsd_from_overlaps,
     make_bell,
@@ -57,16 +59,24 @@ class NoiseModel:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        for name, value in (("shots", self.shots), ("seed", self.seed)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise StateError(f"{name} must be an integer, got {value!r}")
-        if self.shots < 1:
-            raise StateError(f"shots must be >= 1, got {self.shots}")
+        _check_integer("seed", self.seed)
+        _check_shots("shots", self.shots)
 
 
 def _check_mode(mode: str) -> None:
     if mode not in NOISE_MODES:
         raise StateError(f"unknown noise mode {mode!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StateError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_shots(name: str, value) -> None:
+    _check_integer(name, value)
+    if value < 1:
+        raise StateError(f"{name} must be >= 1, got {value}")
 
 
 _BITS_TO_LETTERS = str.maketrans("01", "IS")
@@ -83,6 +93,7 @@ class CoincidenceCounts:
 
     Counts are integers in the stochastic modes; exact mode keeps the
     unrounded expected counts so the estimator reproduces the exact overlap.
+    Every rate is finite and non-negative, and shots_per_config >= 1.
     """
 
     rates: Tuple[float, ...]
@@ -92,6 +103,9 @@ class CoincidenceCounts:
         n = len(self.rates)
         if not 2 <= n <= 2 ** MAX_QUBITS or n & (n - 1):
             raise StateError(f"{n} rates, expected 2^n for n in 1..{MAX_QUBITS}")
+        if not all(0.0 <= r < math.inf for r in self.rates):
+            raise StateError(f"rates must be finite and non-negative, got {self.rates}")
+        _check_shots("shots_per_config", self.shots_per_config)
 
     @property
     def n_qubits(self) -> int:
@@ -157,8 +171,7 @@ def _povm_functional(n: int) -> np.ndarray:
     run photon by photon (qubit k of rho1, qubit k of rho2), regrouped as
     (rho1 row, rho1 column) x (rho2 row, rho2 column).  Its entries are real
     but stored complex, so the product with a density matrix needs no cast."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
+    check_n_qubits(n)
     d = 2 ** n
     rows = np.arange(2 * n)
     cols = rows + 2 * n
@@ -204,9 +217,52 @@ def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def _rng(words: np.ndarray) -> np.random.Generator:
-    # SeedSequence copies the words, so the caller may reuse the array
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+# numpy's SeedSequence.generate_state hash (numpy/random/bit_generator.pyx):
+# output word i of a 4-word pool is
+#     x = pool[i % 4] ^ h_i;  x *= h_(i+1);  x ^= x >> 16   (uint32, wrapping)
+# with h_0 = INIT_B and h_(i+1) = h_i * MULT_B.  PCG64 asks for 4 uint64, that
+# is 8 such words read as little-endian pairs.  Both constants are arranged
+# (2, 4), so that row h, column j is word 4h + j, which hashes pool[j].
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_HASH_H = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], dtype=np.uint32)
+_HASH_XOR = _HASH_H[:8].reshape(2, 4)
+_HASH_MULT = _HASH_H[1:].reshape(2, 4)
+
+
+def _pool_states(pools: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of every row of an (L, 4)
+    uint32 stack of SeedSequence pools, as one (L, 4) uint64 array."""
+    x = np.bitwise_xor(pools[:, None, :], _HASH_XOR)
+    np.multiply(x, _HASH_MULT, out=x)
+    np.bitwise_xor(x, x >> np.uint32(16), out=x)
+    x = x.reshape(len(pools), 8).astype("<u4", copy=False)
+    return x.view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _hashed_seed_type() -> type:
+    """A minimal ISeedSequence holding the already hashed state words of one
+    stream; PCG64 runs its own srandom step on them, as it does on a
+    SeedSequence's.  Built on first use, so that importing qhsd does not
+    import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("a hashed stream seed holds 4 uint64 words only")
+            return self._state
+
+    return HashedSeed
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """The stream of one row of `_pool_states`."""
+    return np.random.Generator(np.random.PCG64(_hashed_seed_type()(state)))
 
 
 def _draw_counts(
@@ -215,12 +271,15 @@ def _draw_counts(
     probs = np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
     if noise.mode == "exact":
         return noise.shots * probs
-    counts = np.empty(len(probs))
     # configuration i < 2^MAX_QUBITS is the one last word of stream (*stream_key, i)
     words = _stream_words(noise.seed, (*stream_key, 0))
-    for i, p in enumerate(probs):
+    pools = np.empty((len(probs), 4), dtype=np.uint32)
+    for i in range(len(probs)):
         words[-1] = i
-        rng = _rng(words)
+        pools[i] = np.random.SeedSequence(words).pool
+    counts = np.empty(len(probs))
+    for i, (p, state) in enumerate(zip(probs, _pool_states(pools))):
+        rng = _stream(state)
         if noise.mode == "binomial":
             counts[i] = rng.binomial(noise.shots, p)
         else:
@@ -315,6 +374,8 @@ def ensemble_measure(
                 pair_noise = NoiseModel(noise.mode, pair_shots, noise.seed)
                 total += _draw_counts(probs, pair_noise, (*stream_key, i, j))
                 shots_total += pair_shots
+    if shots_total == 0:
+        raise EstimationError(f"every member pair rounds to 0 of {noise.shots} shots")
     return estimate_overlap(CoincidenceCounts(tuple(total.tolist()), shots_total), noise.mode)
 
 

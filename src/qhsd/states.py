@@ -43,6 +43,11 @@ _BELL_VECTORS = {
 }
 
 
+def check_n_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
+
+
 def _check_qubit_dim(d: int) -> None:
     if not 2 <= d <= 2 ** MAX_QUBITS or (d & (d - 1)) != 0:
         raise StateError(f"dimension {d} is not a power of two in 2..{2 ** MAX_QUBITS}")

@@ -38,10 +38,9 @@ def test_generator_count_and_ordering():
     basis = generator_basis(2)
     assert basis.labels[:4] == ("IX", "IY", "IZ", "XI")
     assert basis.labels[-1] == "ZZ"
-    with pytest.raises(StateError):
-        generator_basis(5)
-    with pytest.raises(StateError):
-        generator_basis(0)
+    for n in (0, 5):
+        with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
+            generator_basis(n)
 
 
 def test_single_qubit_basis_is_pauli():

@@ -12,8 +12,10 @@ from qhsd.interferometry import (
     EstimationError,
     NoiseModel,
     _draw_counts,
+    _hashed_seed_type,
+    _pool_states,
     _povm_functional,
-    _rng,
+    _stream,
     _stream_words,
     ensemble_measure,
     estimate_overlap,
@@ -24,6 +26,7 @@ from qhsd.interferometry import (
     singlet_projector,
 )
 from qhsd.states import (
+    MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
@@ -190,25 +193,62 @@ def _seed_stream_rng(seed, key):
 
 _SEEDS = st.integers(-(2 ** 63), 2 ** 64 - 1)
 _KEYS = st.lists(st.integers(0, 2 ** 40), max_size=6)
+# SeedSequence entropy of 1 to 8 values, some past 2^32 (two words each)
+_ENTROPY = st.lists(
+    st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTROPY, min_size=1, max_size=16))
+def test_pool_states_match_generate_state(rows):
+    seqs = [np.random.SeedSequence(row) for row in rows]
+    states = _pool_states(np.stack([ss.pool for ss in seqs]))
+    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+    for ss, state in zip(seqs, states):
+        assert state.tolist() == ss.generate_state(4, np.uint64).tolist()
+
+
+def test_hashed_seed_gives_only_the_pcg64_request():
+    state = np.arange(4, dtype=np.uint64)
+    seed = _hashed_seed_type()(state)
+    for dtype in (np.uint64, np.dtype("u8"), "uint64"):
+        assert seed.generate_state(4, dtype) is state
+    for args in [(4, np.uint32), (4,), (8, np.uint64), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="4 uint64 words only"):
+            seed.generate_state(*args)
+
+
+def _stream_of(seed, key):
+    words = _stream_words(seed, key)
+    return _stream(_pool_states(np.random.SeedSequence(words).pool[None])[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_SEEDS, _KEYS, st.integers(1, 10 ** 6), st.floats(0.0, 1.0), st.floats(0.0, 1e4))
 def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
-    rng, oracle = _rng(_stream_words(seed, key)), _seed_stream_rng(seed, key)
+    rng, oracle = _stream_of(seed, key), _seed_stream_rng(seed, key)
     assert rng.binomial(shots, p, size=3).tolist() == oracle.binomial(shots, p, size=3).tolist()
     assert rng.poisson(lam, size=3).tolist() == oracle.poisson(lam, size=3).tolist()
 
 
-@settings(max_examples=50, deadline=None)
-@given(_SEEDS, _KEYS, st.sampled_from(["binomial", "poisson"]), st.integers(1, 3))
-def test_draw_counts_match_per_config_streams(seed, key, mode, n):
+@settings(max_examples=100, deadline=None)
+@given(
+    _SEEDS,
+    _KEYS,
+    st.sampled_from(["binomial", "poisson"]),
+    st.integers(1, MAX_QUBITS),
+    st.sampled_from([1, 1000, 100_000]),
+)
+def test_draw_counts_match_per_config_streams(seed, key, mode, n, shots):
     probs = np.random.default_rng(len(key)).uniform(0.0, 1.0, 2 ** n)
-    noise = NoiseModel(mode, 1000, seed)
+    noise = NoiseModel(mode, shots, seed)
     expected = []
     for i, p in enumerate(probs):
         rng = _seed_stream_rng(seed, (*key, i))
-        expected.append(rng.binomial(1000, p) if mode == "binomial" else rng.poisson(1000 * p))
+        expected.append(rng.binomial(shots, p) if mode == "binomial" else rng.poisson(shots * p))
     assert _draw_counts(probs, noise, key).tolist() == expected
 
 
@@ -221,10 +261,9 @@ def test_stream_rng_rejects_negative_key():
 
 
 def test_povm_functional_qubit_range():
-    with pytest.raises(StateError):
-        _povm_functional(5)
-    with pytest.raises(StateError):
-        _povm_functional(0)
+    for n in (0, MAX_QUBITS + 1):
+        with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
+            _povm_functional(n)
 
 
 def test_estimate_overlap_arithmetic():
@@ -274,6 +313,28 @@ def test_noise_model_accepts_numpy_integers():
 def test_coincidence_counts_need_two_to_the_n_rates(n_rates):
     with pytest.raises(StateError, match=f"^{n_rates} rates"):
         CoincidenceCounts((1.0,) * n_rates, 10)
+
+
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0)])
+def test_coincidence_counts_refuse_bad_shots(shots):
+    with pytest.raises(StateError, match="shots_per_config must be"):
+        CoincidenceCounts((1000.0, 10.0, 12.0, 1.0), shots)
+
+
+@pytest.mark.parametrize("bad", [-10.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_coincidence_counts_refuse_negative_or_non_finite_rates(bad):
+    for position in range(4):
+        rates = [1000.0, 10.0, 12.0, 1.0]
+        rates[position] = bad
+        with pytest.raises(StateError, match="rates must be finite and non-negative"):
+            CoincidenceCounts(tuple(rates), 1000)
+
+
+def test_ensemble_measure_with_no_shots_left_raises():
+    uniform = EnsembleSpec(tuple((0.25, make_bell(k)) for k in BellKind))
+    for mode in ("binomial", "poisson"):
+        with pytest.raises(EstimationError, match="every member pair rounds to 0 of 1 shots"):
+            ensemble_measure(uniform, uniform, NoiseModel(mode, 1, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

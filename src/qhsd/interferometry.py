@@ -59,8 +59,8 @@ class NoiseModel:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        _check_integer("seed", self.seed)
         _check_shots("shots", self.shots)
+        _check_integer("seed", self.seed)
 
 
 def _check_mode(mode: str) -> None:
@@ -253,9 +253,7 @@ def _hashed_seed_type() -> type:
             self._state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
-                raise ValueError("a hashed stream seed holds 4 uint64 words only")
-            return self._state
+            return self._state  # PCG64 asks for (4, np.uint64) only
 
     return HashedSeed
 
@@ -365,7 +363,7 @@ def ensemble_measure(
             w = w1 * w2
             probs = povm_probabilities(s1, s2)
             if noise.mode == "exact":
-                total += noise.shots * w * probs
+                total += w * _draw_counts(probs, noise)
                 shots_total = noise.shots
             else:
                 pair_shots = int(round(noise.shots * w))

@@ -12,7 +12,6 @@ from qhsd.interferometry import (
     EstimationError,
     NoiseModel,
     _draw_counts,
-    _hashed_seed_type,
     _pool_states,
     _povm_functional,
     _stream,
@@ -211,16 +210,6 @@ def test_pool_states_match_generate_state(rows):
         assert state.tolist() == ss.generate_state(4, np.uint64).tolist()
 
 
-def test_hashed_seed_gives_only_the_pcg64_request():
-    state = np.arange(4, dtype=np.uint64)
-    seed = _hashed_seed_type()(state)
-    for dtype in (np.uint64, np.dtype("u8"), "uint64"):
-        assert seed.generate_state(4, dtype) is state
-    for args in [(4, np.uint32), (4,), (8, np.uint64), (2, np.uint64)]:
-        with pytest.raises(ValueError, match="4 uint64 words only"):
-            seed.generate_state(*args)
-
-
 def _stream_of(seed, key):
     words = _stream_words(seed, key)
     return _stream(_pool_states(np.random.SeedSequence(words).pool[None])[0])
@@ -299,6 +288,11 @@ def test_estimate_overlap_refuses_unknown_mode():
 def test_noise_model_requires_integer_shots_and_seed(field, value):
     with pytest.raises(StateError, match=f"{field} must be an integer"):
         NoiseModel(**{"mode": "binomial", "shots": 1000, "seed": 1, field: value})
+
+
+def test_noise_model_checks_shots_before_seed():
+    with pytest.raises(StateError, match="shots must be an integer"):
+        NoiseModel("binomial", 2.5, 1.5)
 
 
 def test_noise_model_accepts_numpy_integers():
@@ -433,6 +427,21 @@ def test_ensemble_measure_single_member_reduces():
     assert est.value == pytest.approx(0.0, abs=1e-9)
     qubit = EnsembleSpec(((1.0, maximally_mixed(2)),))
     assert ensemble_measure(qubit, qubit, noise).value == pytest.approx(0.5, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1))
+))
+def test_ensemble_measure_exact_pure_self_overlap(entries):
+    # off-diagonal products make some rates round just below 0
+    a = np.array(entries)
+    if np.linalg.norm(a) < 1e-3:
+        return
+    psi = pure_state(a[::2] + 1j * a[1::2])
+    member = EnsembleSpec(((1.0, psi),))
+    est = ensemble_measure(member, member, NoiseModel("exact", 10_000, 0))
+    assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ensemble_measure_werner_decomposition():

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ EXIT_INPUT = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
 
-BELL_ORDER = ["phi+", "phi-", "psi+", "psi-"]
+BELL_ORDER = [kind.value for kind in BellKind]
 SEPARABLE_ORDER = ["00", "11", "01", "10"]
 
 REPRODUCE_TARGETS = (
@@ -38,9 +39,9 @@ REPRODUCE_TARGETS = (
     "clusters_demo",
 )
 
-# The parameter an inline `name:value` sets; the other named states take
-# `name:key=value`.
-_INLINE_LABELS = {"bell": "kind", "separable": "bits"}
+# The named states whose one parameter an inline `name:value` sets; the
+# others take `name:key=value`.
+_POSITIONAL = ("bell", "separable")
 
 
 def parse_state_spec(spec: str) -> DensityMatrix:
@@ -64,14 +65,10 @@ def _inline_json(spec: str) -> dict:
     name, _, arg = spec.partition(":")
     if not arg:
         return {"named": name}
-    if name in _INLINE_LABELS:
-        return {"named": name, "params": {_INLINE_LABELS[name]: arg}}
+    if name in _POSITIONAL:
+        return {"named": name, "params": {states.NAMED_PARAMS[name]: arg}}
     key, _, value = arg.partition("=")
     return {"named": name, "params": {key: value}}
-
-
-def _noise_dict(noise: NoiseModel) -> dict:
-    return {"mode": noise.mode, "shots": noise.shots, "seed": noise.seed}
 
 
 def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
@@ -83,11 +80,12 @@ def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
     }
 
 
-def _emit(payload: dict, args) -> None:
+def _emit(payload: dict, path: Optional[str]) -> None:
+    """Write the payload as a versioned JSON report to path, or to stdout."""
     report = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -123,8 +121,8 @@ def cmd_distance(args, noise: NoiseModel) -> None:
         payload = {"mode": "exact", **_exact_report(a, b)}
     else:
         m = interferometry.measure_hsd(a, b, noise)
-        payload = {"mode": "simulated", "noise": _noise_dict(noise), **_simulated_report(m)}
-    _emit(payload, args)
+        payload = {"mode": "simulated", "noise": asdict(noise), **_simulated_report(m)}
+    _emit(payload, args.out)
 
 
 def cmd_overlap(args, noise: NoiseModel) -> None:
@@ -134,8 +132,8 @@ def cmd_overlap(args, noise: NoiseModel) -> None:
         payload = {"mode": "exact", "overlap": states.overlap_exact(a, b)}
     else:
         est = interferometry.measure_overlap(a, b, noise)
-        payload = {"mode": "simulated", "noise": _noise_dict(noise), "overlap": _overlap_dict(est)}
-    _emit(payload, args)
+        payload = {"mode": "simulated", "noise": asdict(noise), "overlap": _overlap_dict(est)}
+    _emit(payload, args.out)
 
 
 def cmd_simulate(args, noise: NoiseModel) -> None:
@@ -143,14 +141,14 @@ def cmd_simulate(args, noise: NoiseModel) -> None:
     b = parse_state_spec(args.state_b)
     m = interferometry.measure_hsd(a, b, noise)
     payload = {
-        "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": _noise_dict(noise)},
+        "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": asdict(noise)},
         "measurement_plan": {
             "overlap_povms": interferometry.plan_measurements(a.n_qubits, "overlap"),
             "tomography_settings": interferometry.plan_measurements(a.n_qubits, "tomography"),
         },
         **_simulated_report(m),
     }
-    _emit(payload, args)
+    _emit(payload, args.out)
 
 
 def _parse_cell(cell: str) -> Optional[float]:
@@ -188,8 +186,7 @@ def _read_points_csv(path: str) -> np.ndarray:
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if header:
-            w.writerow(header)
+        w.writerow(header)
         for row in rows:
             w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
 
@@ -204,7 +201,6 @@ def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_
         [(i, int(l)) for i, l in enumerate(result.labels)],
     )
     model = {
-        "schema_version": SCHEMA_VERSION,
         "backend": backend.kind,
         "k": k,
         "seed": seed,
@@ -213,8 +209,7 @@ def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_
         "centroids": result.centroids.tolist(),
         "centroid_trace": [c.tolist() for c in result.centroid_trace],
     }
-    with open(os.path.join(out_dir, "model.json"), "w") as fh:
-        fh.write(json.dumps(model, indent=2, sort_keys=True) + "\n")
+    _emit(model, os.path.join(out_dir, "model.json"))
 
 
 def cmd_cluster(args, noise: NoiseModel) -> None:
@@ -270,10 +265,11 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    p.add_argument("--shots", type=int, default=10_000, help="trials per POVM configuration")
+    p.add_argument("--seed", type=int, default=NoiseModel.seed,
+                   help="master RNG seed (default %(default)s)")
+    p.add_argument("--shots", type=int, default=NoiseModel.shots, help="trials per POVM configuration")
     p.add_argument(
-        "--noise", choices=list(interferometry.NOISE_MODES), default="exact",
+        "--noise", choices=list(interferometry.NOISE_MODES), default=NoiseModel.mode,
         help="counting-statistics model",
     )
 
@@ -286,28 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", help="HSD between two states")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    p.add_argument("--mode", choices=["exact", "simulated"], default="exact")
-    p.add_argument("--out", help="write report JSON here instead of stdout")
-    _add_common(p)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("overlap", help="first-order overlap Tr(rho_a rho_b)")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    p.add_argument("--mode", choices=["exact", "simulated"], default="exact")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("simulate", help="full simulation report with per-POVM counts")
-    p.add_argument("state_a")
-    p.add_argument("state_b")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    for name, func, help_text in (
+        ("distance", cmd_distance, "HSD between two states"),
+        ("overlap", cmd_overlap, "first-order overlap Tr(rho_a rho_b)"),
+        ("simulate", cmd_simulate, "full simulation report with per-POVM counts"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("state_a")
+        p.add_argument("state_b")
+        if func is not cmd_simulate:  # simulate always measures
+            p.add_argument("--mode", choices=["exact", "simulated"], default="exact")
+        p.add_argument("--out", help="write report JSON here instead of stdout")
+        _add_common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("cluster", help="k-means over a point-cloud CSV")
     p.add_argument("points")

@@ -153,24 +153,20 @@ def kmeans(
     centroids = _init_centroids(points, k, rng)
     trace: List[np.ndarray] = [centroids.copy()]
     labels = None
-    cost = np.inf
     stable = 0
-    iterations = 0
     for it in range(max_iter):
-        iterations = it + 1
         new_labels, dists = assign(points, centroids, backend, it)
         cost = float(dists[np.arange(points.shape[0]), new_labels].sum())
         if labels is not None and np.array_equal(labels, new_labels):
             stable += 1
             if stable >= patience:
-                labels = new_labels
                 break
         else:
             stable = 0
         labels = new_labels
         centroids = update_centroids(points, labels, centroids)
         trace.append(centroids.copy())
-    return KMeansResult(centroids, labels, iterations, cost, tuple(trace))
+    return KMeansResult(centroids, labels, it + 1, cost, tuple(trace))
 
 
 # The demo's blob centres, their spread, and the radius the points stay within.

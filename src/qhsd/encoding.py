@@ -148,8 +148,8 @@ def decode(rho: DensityMatrix) -> np.ndarray:
 
 def hypercube_scale(dim: int, l: float) -> float:
     """Uniform factor mapping the cube [-l, l]^(D^2-1) into the safe ball."""
-    if l <= 0:
-        raise StateError(f"half-side l={l} must be positive")
+    if not 0 < l < math.inf:
+        raise StateError(f"half-side l={l} must be positive and finite")
     return safe_radius(dim) / (l * np.sqrt(dim ** 2 - 1))
 
 
@@ -158,6 +158,8 @@ def embed_hypercube(x: Sequence[float], l: float) -> np.ndarray:
     encoded matrix is positive for every point of the cube."""
     x = np.asarray(x, dtype=float)
     n_qubits = _n_qubits_for_length(x.shape[0])
+    if not np.isfinite(x).all():
+        raise StateError(f"x has non-finite components: {x.tolist()}")
     if np.abs(x).max(initial=0.0) > l * (1 + 1e-12):
         raise StateError(f"component magnitude exceeds l={l}")
     return x * hypercube_scale(2 ** n_qubits, l)

@@ -39,6 +39,9 @@ from qhsd.states import (
 
 NOISE_MODES = ("exact", "binomial", "poisson")
 
+# Counts are float64, which holds every integer up to 2^53 exactly.
+MAX_SHOTS = 2 ** 53
+
 
 class EstimationError(ValueError):
     """Counts cannot be turned into an overlap estimate (e.g. f_II = 0)."""
@@ -77,6 +80,8 @@ def _check_shots(name: str, value) -> None:
     _check_integer(name, value)
     if value < 1:
         raise StateError(f"{name} must be >= 1, got {value}")
+    if value > MAX_SHOTS:
+        raise StateError(f"{name} must be <= 2^53, got {value}")
 
 
 _BITS_TO_LETTERS = str.maketrans("01", "IS")
@@ -356,7 +361,7 @@ def ensemble_measure(
 ) -> OverlapEstimate:
     """Overlap of two convex mixtures, accumulated member pair by member
     pair with shots apportioned by the weight products."""
-    total = np.zeros(2 ** spec1.members[0][1].n_qubits)
+    total = np.zeros(spec1.members[0][1].dim)
     shots_total = 0
     for i, (w1, s1) in enumerate(spec1.members):
         for j, (w2, s2) in enumerate(spec2.members):
@@ -381,8 +386,7 @@ def plan_measurements(n_qubits: int, method: str) -> int:
     """POVM-setting count of one distance: 3 overlap configurations with 2^n
     POVMs each, against the 2(D^2 - 1) + 2 settings of two state
     reconstructions."""
-    if n_qubits < 1:
-        raise StateError("n_qubits must be >= 1")
+    check_n_qubits(n_qubits)
     if method == "overlap":
         return 3 * 2 ** n_qubits
     if method == "tomography":

@@ -109,8 +109,16 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def pure_state(vector: Sequence[complex]) -> DensityMatrix:
+    """|v><v| of the normalized v; v must be a finite, nonzero vector whose
+    length is a power of two in 2..2^MAX_QUBITS."""
     v = np.asarray(vector, dtype=complex)
-    v = v / np.linalg.norm(v)
+    if v.ndim != 1:
+        raise StateError(f"expected a state vector, got shape {v.shape}")
+    _check_qubit_dim(v.shape[0])
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        raise StateError(f"state vector norm {norm} is not finite and positive")
+    v = v / norm
     return DensityMatrix(np.outer(v, v.conj()))
 
 
@@ -204,10 +212,8 @@ def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
 # either {"dim": D, "re": [[...]], "im": [[...]]}
 # or     {"named": "bell|separable|werner|horodecki|mixed", "params": {...}}
 
-_BELL_NAMES = {k.value: k for k in BellKind}
-
 # The one parameter each named state takes.
-_NAMED_PARAMS = {"bell": "kind", "separable": "bits", "werner": "p", "horodecki": "q", "mixed": "dim"}
+NAMED_PARAMS = {"bell": "kind", "separable": "bits", "werner": "p", "horodecki": "q", "mixed": "dim"}
 
 
 def _number(obj: dict, key: str, default=None) -> float:
@@ -219,18 +225,20 @@ def _number(obj: dict, key: str, default=None) -> float:
 
 
 def _named_state(name, params) -> DensityMatrix:
-    if not isinstance(name, str) or name not in _NAMED_PARAMS:
+    if not isinstance(name, str) or name not in NAMED_PARAMS:
         raise StateError(f"unknown named state {name!r}")
     if not isinstance(params, dict):
         raise StateError(f"params of {name} must be an object, got {params!r}")
-    unknown = [key for key in params if key != _NAMED_PARAMS[name]]
+    unknown = [key for key in params if key != NAMED_PARAMS[name]]
     if unknown:
         raise StateError(f"{name} takes no parameter {unknown[0]!r}")
     if name == "bell":
         kind = params.get("kind")
-        if not isinstance(kind, str) or kind not in _BELL_NAMES:
-            raise StateError(f"unknown bell kind {kind!r}")
-        return make_bell(_BELL_NAMES[kind])
+        try:
+            bell = BellKind(kind)
+        except ValueError:
+            raise StateError(f"unknown bell kind {kind!r}") from None
+        return make_bell(bell)
     if name == "separable":
         return make_separable(str(params.get("bits", "")))
     if name == "werner":
@@ -259,7 +267,9 @@ def state_from_json(obj) -> DensityMatrix:
         raise StateError(f"state JSON re/im are not numeric arrays: {exc}") from exc
     if re.shape != im.shape:
         raise StateError(f"re has shape {re.shape} but im has shape {im.shape}")
-    rho = DensityMatrix.from_array(re + 1j * im)
+    with np.errstate(invalid="ignore"):  # 1j * inf; from_array refuses the result
+        m = re + 1j * im
+    rho = DensityMatrix.from_array(m)
     if "dim" in obj and _number(obj, "dim") != rho.dim:
         raise StateError("declared dim does not match matrix shape")
     return rho

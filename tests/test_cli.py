@@ -170,12 +170,19 @@ def test_fuzzed_state_specs_keep_exit_code_contract(a, b):
         assert _main_code(["distance", a, b]) in {0, 2, 3, 4}
 
 
-@pytest.mark.parametrize("shots", ["0", "-5"])
+# Counts are float64, exact for integers up to 2^53; larger shot counts are
+# refused before numpy sees them (at 2^63 its binomial overflows a C long).
+@pytest.mark.parametrize("shots", [
+    "0", "-5", str(2 ** 53 + 1), str(2 ** 63), pytest.param("1" + "0" * 400, id="10^400"),
+])
 @pytest.mark.parametrize("argv", [
     ["overlap", "mixed", "mixed"],
     ["distance", "mixed", "mixed", "--mode", "exact"],
     ["cluster", "POINTS", "--k", "2", "--backend", "euclidean", "--out-dir", "OUT"],
     ["reproduce", "bell_table", "--out-dir", "OUT"],
+    ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "exact"],
+    ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "binomial"],
+    ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "poisson"],
 ])
 def test_bad_shots_exit_code(tmp_path, capsys, argv, shots):
     points = tmp_path / "points.csv"
@@ -185,8 +192,52 @@ def test_bad_shots_exit_code(tmp_path, capsys, argv, shots):
     code, out, err = run(capsys, *argv, "--shots", shots)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    bound = ">= 1" if int(shots) < 1 else "<= 2^53"
+    assert err == f"error: shots must be {bound}, got {shots}\n"
     assert not out_dir.exists()
+
+
+def test_estimation_failure_exit_code(capsys):
+    # one shot per configuration under poisson leaves f_II = 0
+    code, out, err = run(capsys, "distance", "bell:phi+", "bell:phi-", "--mode", "simulated",
+                         "--noise", "poisson", "--shots", "1", "--seed", "0")
+    assert (code, out) == (3, "")
+    assert err == "error: f_II = 0: cannot normalize the overlap estimate\n"
+
+
+@pytest.mark.parametrize("noise", NOISE_MODES)
+def test_overlap_simulated(capsys, noise):
+    args = ("overlap", "werner:p=0.3", "horodecki:q=0.6", "--mode", "simulated",
+            "--noise", noise, "--shots", "100000", "--seed", "4")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "simulated"
+    assert report["noise"] == {"mode": noise, "shots": 100000, "seed": 4}
+    est = report["overlap"]
+    assert set(est) == {"value", "std_error", "out_of_range", "counts"}
+    assert est["counts"]["shots_per_config"] == 100000
+    exact = states.overlap_exact(states.make_werner(0.3), states.make_horodecki(0.6))
+    if noise == "exact":
+        assert est["value"] == pytest.approx(exact, abs=1e-12) and est["std_error"] == 0.0
+    else:
+        assert abs(est["value"] - exact) <= 5 * est["std_error"]
+    assert run(capsys, *args)[1] == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["distance", "bell:phi+", "werner:p=0.4"],
+    ["distance", "bell:phi+", "werner:p=0.4", "--mode", "simulated", "--noise", "binomial"],
+    ["overlap", "bell:phi+", "werner:p=0.4"],
+    ["overlap", "bell:phi+", "werner:p=0.4", "--mode", "simulated", "--noise", "poisson"],
+    ["simulate", "bell:phi+", "werner:p=0.4", "--noise", "binomial"],
+])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text() == stdout
 
 
 def test_simulate_report(capsys):
@@ -341,6 +392,29 @@ def test_cluster_checks_rows(tmp_path, capsys, row, backend, code):
     if code:
         assert err.startswith("error:") and "row 1 " in err
         assert not (tmp_path / "out").exists()
+
+
+def test_cluster_skips_blank_lines(tmp_path, capsys):
+    rows = ["x1,x2,x3", "0.1,0,0", "0.12,0.01,0", "-0.1,0,0", "-0.12,0,0.01"]
+    (tmp_path / "plain.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "blank.csv").write_text("\n\n".join(rows) + "\n\n")
+    for name in ("plain", "blank"):
+        code, _, _ = run(capsys, "cluster", str(tmp_path / f"{name}.csv"), "--k", "2",
+                         "--out-dir", str(tmp_path / name))
+        assert code == 0
+    for out in ("labels.csv", "model.json"):
+        assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / "blank" / out).read_bytes()
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "x1,x2,x3\n", "x1,x2,x3\n\n"])
+def test_cluster_without_numeric_rows_exit_code(tmp_path, capsys, body):
+    path = tmp_path / "points.csv"
+    path.write_text(body)
+    code, out, err = run(capsys, "cluster", str(path), "--k", "1",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == f"error: no numeric rows in {path}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

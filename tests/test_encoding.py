@@ -138,6 +138,23 @@ def test_hypercube_scaling():
         embed_hypercube([0.6, 0.0, 0.0], l=0.5)
 
 
+@pytest.mark.parametrize("l", [np.nan, np.inf, 0.0, -1.0])
+def test_hypercube_scale_refuses_bad_half_side(l):
+    with pytest.raises(StateError, match=f"half-side l={l} must be positive and finite"):
+        hypercube_scale(2, l)
+
+
+@pytest.mark.parametrize("x, l", [
+    ([0.1, 0.0, 0.0], np.nan),
+    ([0.1, 0.0, 0.0], np.inf),
+    ([np.nan, 0.0, 0.0], 1.0),
+    ([0.0, -np.inf, 0.0], np.inf),
+])
+def test_embed_hypercube_refuses_non_finite_input(x, l):
+    with pytest.raises(StateError):
+        embed_hypercube(x, l)
+
+
 def test_hypercube_distance_scaling():
     rng = np.random.default_rng(32)
     l = 2.0

@@ -309,7 +309,7 @@ def test_coincidence_counts_need_two_to_the_n_rates(n_rates):
         CoincidenceCounts((1.0,) * n_rates, 10)
 
 
-@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0)])
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0), 2 ** 53 + 1])
 def test_coincidence_counts_refuse_bad_shots(shots):
     with pytest.raises(StateError, match="shots_per_config must be"):
         CoincidenceCounts((1000.0, 10.0, 12.0, 1.0), shots)
@@ -322,6 +322,16 @@ def test_coincidence_counts_refuse_negative_or_non_finite_rates(bad):
         rates[position] = bad
         with pytest.raises(StateError, match="rates must be finite and non-negative"):
             CoincidenceCounts(tuple(rates), 1000)
+
+
+@pytest.mark.parametrize("mode", NOISE_MODES)
+def test_shots_are_bounded_by_two_to_the_53(mode):
+    # float64 counts hold integers exactly only up to 2^53
+    a, b = make_bell(BellKind.PHI_PLUS), make_bell(BellKind.PHI_MINUS)
+    assert measure_overlap(a, b, NoiseModel(mode, 2 ** 53, 0)).counts.shots_per_config == 2 ** 53
+    for shots in (2 ** 53 + 1, 2 ** 63, 10 ** 400):
+        with pytest.raises(StateError, match=f"^shots must be <= 2\\^53, got {shots}$"):
+            NoiseModel(mode, shots, 0)
 
 
 def test_ensemble_measure_with_no_shots_left_raises():
@@ -444,15 +454,39 @@ def test_ensemble_measure_exact_pure_self_overlap(entries):
     assert est.value == pytest.approx(1.0, abs=1e-9)
 
 
+def _werner_spec(p):
+    """The Werner state p Phi+ + (1 - p) I/4 as a mixture of the four Bell states."""
+    members = [(p + (1 - p) / 4, make_bell(BellKind.PHI_PLUS))] + [
+        ((1 - p) / 4, make_bell(k)) for k in BellKind if k is not BellKind.PHI_PLUS
+    ]
+    return EnsembleSpec(tuple(members))
+
+
 def test_ensemble_measure_werner_decomposition():
     noise = NoiseModel("exact", 10_000, 0)
     for p in np.linspace(0.0, 1.0, 11):
-        members = [(p + (1 - p) / 4, make_bell(BellKind.PHI_PLUS))] + [
-            ((1 - p) / 4, make_bell(k)) for k in BellKind if k is not BellKind.PHI_PLUS
-        ]
-        spec = EnsembleSpec(tuple(members))
+        spec = _werner_spec(p)
         est = ensemble_measure(spec, spec, noise)
         assert est.value == pytest.approx(0.25 + 0.75 * p * p, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["binomial", "poisson"])
+@pytest.mark.parametrize("p, shots", [(0.3, 100_000), (0.9, 500), (1.0, 2000)])
+def test_ensemble_measure_stochastic_werner_decomposition(mode, p, shots):
+    # at 500 shots the pairs of two minority members (weight 0.025^2) get none
+    spec, key = _werner_spec(p), (7, 3)
+    est = ensemble_measure(spec, spec, NoiseModel(mode, shots, 11), key)
+    counts, shots_total = 0.0, 0
+    for i, (w1, s1) in enumerate(spec.members):
+        for j, (w2, s2) in enumerate(spec.members):
+            pair_shots = round(shots * (w1 * w2))
+            if pair_shots:
+                probs = povm_probabilities(s1, s2)
+                counts = counts + _draw_counts(probs, NoiseModel(mode, pair_shots, 11), (*key, i, j))
+                shots_total += pair_shots
+    assert est.counts.shots_per_config == shots_total
+    assert est.counts.rates == tuple(counts.tolist())
+    assert abs(est.value - (0.25 + 0.75 * p * p)) <= 5 * est.std_error
 
 
 def test_ensemble_weights_validated():
@@ -468,6 +502,12 @@ def test_plan_measurements():
     assert plan_measurements(1, "tomography") == 8
     with pytest.raises(StateError):
         plan_measurements(2, "oracle")
+
+
+@pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+def test_plan_measurements_qubit_range(n):
+    with pytest.raises(StateError, match=f"n_qubits={n} outside supported range 1..{MAX_QUBITS}"):
+        plan_measurements(n, "overlap")
 
 
 def test_povm_probabilities_rejects_non_qubit_dimension():

@@ -157,6 +157,20 @@ def test_hsd_from_overlaps():
     assert value == 0.0 and clamped
 
 
+@pytest.mark.parametrize("vector, message", [
+    ([0, 0], "norm 0.0 is not finite and positive"),
+    ([1, np.nan], "norm nan is not finite and positive"),
+    ([np.inf, 0], "norm inf is not finite and positive"),
+    ([1, 0, 0], "dimension 3 is not a power of two"),
+    ([1], "dimension 1 is not a power of two"),
+    (np.ones(32), "dimension 32 is not a power of two"),
+    ([[1, 0], [0, 1]], r"expected a state vector, got shape \(2, 2\)"),
+])
+def test_pure_state_refuses_unusable_vectors(vector, message):
+    with pytest.raises(StateError, match=message):
+        pure_state(vector)
+
+
 def test_tensor():
     mm2 = maximally_mixed(2)
     assert hsd_exact(tensor(mm2, mm2), maximally_mixed(4)) < 1e-12

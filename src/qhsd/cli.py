@@ -48,14 +48,14 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     """A path to a state JSON file, or an inline shorthand for a named state
     (bell:phi+, separable:01, werner:p=0.5, horodecki:q=0.3, mixed:dim=4,
     mixed), read by the same state_from_json as the file."""
-    if os.path.exists(spec):
-        with open(spec) as fh:
-            obj = json.load(fh)
-    else:
-        obj = _inline_json(spec)
     try:
+        if os.path.exists(spec):
+            with open(spec) as fh:
+                obj = json.load(fh)
+        else:
+            obj = _inline_json(spec)
         return states.state_from_json(obj)
-    except StateError as exc:
+    except ValueError as exc:  # an OSError is an I/O failure, not a bad state
         raise StateError(f"state {spec!r}: {exc}") from None
 
 
@@ -95,10 +95,10 @@ def _exact_report(a: DensityMatrix, b: DensityMatrix) -> dict:
     """Exact distance, with d2 assembled from the three overlaps as the
     measurement assembles it."""
     o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
-    value, clamped = states.hsd_from_overlaps(o11, o22, o12)
+    value, d2, clamped = states.hsd_from_overlaps(o11, o22, o12)
     return {
         "hsd": value,
-        "d2": o11 + o22 - 2.0 * o12,
+        "d2": d2,
         "clamped": clamped,
         "overlaps": {"o11": o11, "o22": o22, "o12": o12},
     }
@@ -240,7 +240,7 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
         _cluster(points, clustering.ExactHsdBackend(), 2, args.seed, 100, args.out_dir)
     elif target in ("bell_table", "separable_table"):
         if target == "bell_table":
-            names, mats = BELL_ORDER, [states.make_bell(BellKind(n)) for n in BELL_ORDER]
+            names, mats = BELL_ORDER, [states.make_bell(n) for n in BELL_ORDER]
         else:
             names, mats = SEPARABLE_ORDER, [states.make_separable(n) for n in SEPARABLE_ORDER]
         tables = _pair_tables(mats, mats, lambda a, b: _exact_report(a, b)["d2"], noise)

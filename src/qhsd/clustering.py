@@ -11,7 +11,7 @@ interchangeable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,14 +55,12 @@ class SimulatedHsdBackend:
         return m.d2
 
 
-def make_backend(kind: str, noise: Optional[NoiseModel] = None):
+def make_backend(kind: str, noise: NoiseModel):
     if kind == "euclidean":
         return EuclideanBackend()
     if kind == "hsd_exact":
         return ExactHsdBackend()
     if kind == "hsd_simulated":
-        if noise is None:
-            raise StateError("hsd_simulated backend requires a noise model")
         return SimulatedHsdBackend(noise)
     raise StateError(f"unknown backend {kind!r}")
 

@@ -41,14 +41,6 @@ class GeneratorBasis:
     generators: np.ndarray  # shape (D^2 - 1, D, D), read-only
     mixed: np.ndarray  # I/D, complex, read-only
 
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_qubits
-
-    @property
-    def size(self) -> int:
-        return self.dim ** 2 - 1
-
 
 @lru_cache(maxsize=None)
 def generator_basis(n_qubits: int) -> GeneratorBasis:

@@ -84,9 +84,6 @@ def _check_shots(name: str, value) -> None:
         raise StateError(f"{name} must be <= 2^53, got {value}")
 
 
-_BITS_TO_LETTERS = str.maketrans("01", "IS")
-
-
 @dataclass(frozen=True)
 class CoincidenceCounts:
     """The 2^n rates of one n-qubit overlap configuration.
@@ -118,10 +115,9 @@ class CoincidenceCounts:
 
     def named(self) -> Dict[str, float]:
         """{f_<letters>: rate} for every configuration."""
-        width = f"0{self.n_qubits}b"
         return {
-            "f_" + format(c, width).translate(_BITS_TO_LETTERS): rate
-            for c, rate in enumerate(self.rates)
+            "f_" + "".join("IS"[bit] for bit in cfg): rate
+            for cfg, rate in zip(_configs(self.n_qubits), self.rates)
         }
 
 
@@ -341,12 +337,10 @@ def measure_hsd(
     stream_key: Sequence[int] = (),
 ) -> HsdMeasurement:
     """Measure O(1,1), O(2,2), O(1,2) and combine them into the distance."""
-    check_same_dim(rho1, rho2)
     o11 = measure_overlap(rho1, rho1, noise, (*stream_key, 0))
     o22 = measure_overlap(rho2, rho2, noise, (*stream_key, 1))
     o12 = measure_overlap(rho1, rho2, noise, (*stream_key, 2))
-    value, clamped = hsd_from_overlaps(o11.value, o22.value, o12.value)
-    d2 = o11.value + o22.value - 2.0 * o12.value
+    value, d2, clamped = hsd_from_overlaps(o11.value, o22.value, o12.value)
     d2_err = float(
         np.sqrt(o11.std_error ** 2 + o22.std_error ** 2 + 4.0 * o12.std_error ** 2)
     )

@@ -115,16 +115,19 @@ def pure_state(vector: Sequence[complex]) -> DensityMatrix:
     if v.ndim != 1:
         raise StateError(f"expected a state vector, got shape {v.shape}")
     _check_qubit_dim(v.shape[0])
-    norm = np.linalg.norm(v)
-    if not 0.0 < norm < math.inf:
-        raise StateError(f"state vector norm {norm} is not finite and positive")
-    v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()))
+    scale = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # norm(v / scale) cannot over- or underflow
+    if not 0.0 < scale < math.inf:
+        raise StateError(f"state vector norm {scale} is not finite and positive")
+    v = v / scale
+    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
 
 
-def make_bell(kind: BellKind) -> DensityMatrix:
-    """Rank-1 projector onto one of the four Bell states."""
-    v = _BELL_VECTORS[kind]
+def make_bell(kind: BellKind | str) -> DensityMatrix:
+    """Rank-1 projector onto a Bell state, given as a BellKind or its value."""
+    try:
+        v = _BELL_VECTORS[BellKind(kind)]
+    except ValueError:
+        raise StateError(f"unknown bell kind {kind!r}") from None
     return DensityMatrix(np.outer(v, v.conj()))
 
 
@@ -177,13 +180,13 @@ def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     return math.sqrt(max(0.0, (d @ d).trace().real))
 
 
-def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, bool]:
-    """HSD assembled from the three first-order overlaps, and whether shot
-    noise drove the radicand negative so that it was clamped to 0."""
-    radicand = o11 + o22 - 2.0 * o12
-    if radicand < 0.0:
-        return 0.0, True
-    return float(np.sqrt(radicand)), False
+def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float, bool]:
+    """(HSD, d2, clamped) from the three first-order overlaps: d2 = o11 + o22
+    - 2 o12, clamped when shot noise drove d2 negative and the HSD to 0."""
+    d2 = o11 + o22 - 2.0 * o12
+    if d2 < 0.0:
+        return 0.0, d2, True
+    return float(np.sqrt(d2)), d2, False
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -219,9 +222,11 @@ NAMED_PARAMS = {"bell": "kind", "separable": "bits", "werner": "p", "horodecki":
 def _number(obj: dict, key: str, default=None) -> float:
     value = obj.get(key, default)
     try:
-        return float(value)
+        if not isinstance(value, bool):  # float() would read a boolean as 0 or 1
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise StateError(f"{key} must be a number, got {value!r}") from None
+        pass
+    raise StateError(f"{key} must be a number, got {value!r}")
 
 
 def _named_state(name, params) -> DensityMatrix:
@@ -233,14 +238,9 @@ def _named_state(name, params) -> DensityMatrix:
     if unknown:
         raise StateError(f"{name} takes no parameter {unknown[0]!r}")
     if name == "bell":
-        kind = params.get("kind")
-        try:
-            bell = BellKind(kind)
-        except ValueError:
-            raise StateError(f"unknown bell kind {kind!r}") from None
-        return make_bell(bell)
+        return make_bell(params.get("kind"))
     if name == "separable":
-        return make_separable(str(params.get("bits", "")))
+        return make_separable(params.get("bits"))
     if name == "werner":
         return make_werner(_number(params, "p"))
     if name == "horodecki":
@@ -259,14 +259,18 @@ def state_from_json(obj) -> DensityMatrix:
     if "named" in obj:
         return _named_state(obj["named"], obj.get("params", {}))
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re = np.asarray(obj["re"])
+        im = np.asarray(obj["im"])
     except KeyError as exc:
         raise StateError(f"state JSON missing key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:  # ragged rows
         raise StateError(f"state JSON re/im are not numeric arrays: {exc}") from exc
     if re.shape != im.shape:
         raise StateError(f"re has shape {re.shape} but im has shape {im.shape}")
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf" or any(
+        type(x) is bool for x in np.asarray([obj["re"], obj["im"]], dtype=object).flat
+    ):
+        raise StateError("state JSON re/im must be arrays of numbers, not booleans, strings or nulls")
     with np.errstate(invalid="ignore"):  # 1j * inf; from_array refuses the result
         m = re + 1j * im
     rho = DensityMatrix.from_array(m)

@@ -95,6 +95,17 @@ def test_unparseable_spec_exit_code(capsys):
     "mixed:dim=1048576",
     {"named": "mixed", "params": {"dim": 2 ** 24}},
     {"re": (np.eye(32) / 32).tolist(), "im": np.zeros((32, 32)).tolist()},
+    # JSON booleans are not numbers, and a bit string is not an integer
+    {"named": "werner", "params": {"p": True}},
+    {"named": "horodecki", "params": {"q": False}},
+    {"re": [[True, False], [False, False]], "im": [[False, False], [False, False]]},
+    {"named": "separable", "params": {"bits": 11}},
+    {"re": [[1, 0], [0, 0]]},
+    {"re": [["1", 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+    {"re": [[1, 0], [0, 0]], "im": [[0]]},
+    {"dim": 4, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+    {"re": [[1, 0, 0]], "im": [[0, 0, 0]]},
+    {"re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
 ])
 def test_malformed_state_exit_code(tmp_path, capsys, state):
     if not isinstance(state, str):
@@ -103,6 +114,31 @@ def test_malformed_state_exit_code(tmp_path, capsys, state):
         state = str(path)
     code, out, err = run(capsys, "distance", state, state)
     assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_state_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("x")
+    code, out, err = run(capsys, "distance", str(path), "bell:phi+")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: state {str(path)!r}: Expecting value")
+
+
+@pytest.mark.parametrize("case", ["missing_points", "out_is_directory", "out_dir_below_file", "state_is_directory"])
+def test_io_failure_exit_code(tmp_path, capsys, case):
+    file = tmp_path / "file"
+    file.write_text("")
+    argv = {
+        "missing_points": ["cluster", str(tmp_path / "missing.csv"), "--k", "2", "--out-dir", str(tmp_path)],
+        "out_is_directory": ["distance", "bell:phi+", "bell:phi-", "--out", str(tmp_path)],
+        "out_dir_below_file": ["reproduce", "bell_table", "--out-dir", str(file / "sub")],
+        "state_is_directory": ["distance", str(tmp_path), "bell:phi+"],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 4
     assert out == ""
     assert err.startswith("error:")
 

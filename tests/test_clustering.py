@@ -48,12 +48,12 @@ def test_backend_distance_values():
 
 
 def test_simulated_backend_requires_noise():
-    with pytest.raises(StateError):
-        make_backend("hsd_simulated")
+    with pytest.raises(StateError, match="needs a stochastic noise mode"):
+        make_backend("hsd_simulated", NoiseModel("exact", 10, 0))
     with pytest.raises(StateError):
         SimulatedHsdBackend(NoiseModel("exact", 10, 0))
     with pytest.raises(StateError):
-        make_backend("medoid")
+        make_backend("medoid", NoiseModel("binomial", 10, 0))
 
 
 def test_update_centroids_means():
@@ -163,6 +163,13 @@ def test_kmeans_rejects_k_below_one(k):
     backend = _CountingBackend()
     with pytest.raises(StateError, match=f"k must be >= 1, got {k}"):
         kmeans(two_gaussian_demo(20), k, backend=backend)
+    assert backend.calls == 0
+
+
+def test_kmeans_rejects_max_iter_below_one():
+    backend = _CountingBackend()
+    with pytest.raises(StateError, match="max_iter must be >= 1"):
+        kmeans(two_gaussian_demo(20), 2, max_iter=0, backend=backend)
     assert backend.calls == 0
 
 

@@ -109,6 +109,12 @@ def test_radii():
     assert safe_radius(4) == pytest.approx(1 / np.sqrt(24), abs=1e-15)
 
 
+@pytest.mark.parametrize("radius", [max_ball_radius, safe_radius])
+def test_radii_refuse_dimension_below_two(radius):
+    with pytest.raises(StateError, match="dim=1 must be >= 2"):
+        radius(1)
+
+
 def test_safe_radius_sufficient_not_necessary():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -198,8 +204,8 @@ def test_n_qubits_for_length_matches_seed_formula():
 def test_encode_matches_seed_formula(n):
     rng = np.random.default_rng(n)
     basis = generator_basis(n)
-    d = basis.dim
-    points = rng.uniform(-0.2, 0.2, (20, basis.size))
+    d = 2 ** basis.n_qubits
+    points = rng.uniform(-0.2, 0.2, (20, len(basis.generators)))
     points[0] = 0.0
     points[1, ::2] = -0.0
     for u in points:
@@ -214,7 +220,8 @@ def _seed_encode(u, validate=True):
     """encode as it was before the memo: no cache, every call computed."""
     u = np.asarray(u, dtype=float)
     basis = generator_basis(_n_qubits_for_length(u.shape[0]))
-    m = np.eye(basis.dim, dtype=complex) / basis.dim + np.einsum("i,ijk->jk", u, basis.generators)
+    d = 2 ** basis.n_qubits
+    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
     if validate and np.linalg.eigvalsh(m)[0] < -1e-9:
         raise EncodingError("vector encodes outside the state space")
     return m

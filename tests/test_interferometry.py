@@ -494,6 +494,12 @@ def test_ensemble_weights_validated():
         EnsembleSpec(((0.5, make_bell(BellKind.PHI_PLUS)),))
 
 
+def test_ensemble_weights_outside_unit_interval():
+    bell = make_bell(BellKind.PHI_PLUS)
+    with pytest.raises(StateError, match="ensemble weight 1.5 outside"):
+        EnsembleSpec(((1.5, bell), (-0.5, bell)))
+
+
 def test_plan_measurements():
     assert plan_measurements(1, "overlap") == 6
     assert plan_measurements(2, "overlap") == 12

@@ -150,11 +150,11 @@ def test_hsd_werner_closed_form_grid():
 
 
 def test_hsd_from_overlaps():
-    assert hsd_from_overlaps(1, 1, 1) == (0.0, False)
-    value, clamped = hsd_from_overlaps(1, 1, 0)
-    assert value == pytest.approx(np.sqrt(2), abs=1e-12) and not clamped
-    value, clamped = hsd_from_overlaps(0.25, 0.25, 0.26)
-    assert value == 0.0 and clamped
+    assert hsd_from_overlaps(1, 1, 1) == (0.0, 0.0, False)
+    value, d2, clamped = hsd_from_overlaps(1, 1, 0)
+    assert value == pytest.approx(np.sqrt(2), abs=1e-12) and d2 == 2.0 and not clamped
+    value, d2, clamped = hsd_from_overlaps(0.25, 0.25, 0.26)
+    assert value == 0.0 and d2 == 0.25 + 0.25 - 2.0 * 0.26 and clamped
 
 
 @pytest.mark.parametrize("vector, message", [
@@ -169,6 +169,19 @@ def test_hsd_from_overlaps():
 def test_pure_state_refuses_unusable_vectors(vector, message):
     with pytest.raises(StateError, match=message):
         pure_state(vector)
+
+
+def test_make_bell_takes_a_kind_or_its_value():
+    for kind in BellKind:
+        assert np.array_equal(make_bell(kind.value).matrix, make_bell(kind).matrix)
+    with pytest.raises(StateError, match="unknown bell kind 'phi'"):
+        make_bell("phi")
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_pure_state_normalizes_huge_and_tiny_vectors(scale):
+    rho = pure_state([scale, 0])
+    assert np.array_equal(rho.matrix, np.array([[1, 0], [0, 0]], dtype=complex))
 
 
 def test_tensor():

@@ -12,11 +12,9 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
-    permute_qubits,
     purity,
-    tensor,
 )
-from qhsd.encoding import decode, encode, generator_basis, max_ball_radius, safe_radius
+from qhsd.encoding import decode, encode, generator_basis, safe_radius
 from qhsd.interferometry import NoiseModel, estimate_overlap, measure_hsd
 from qhsd.clustering import kmeans
 
@@ -36,13 +34,10 @@ __all__ = [
     "make_separable",
     "make_werner",
     "maximally_mixed",
-    "max_ball_radius",
     "measure_hsd",
     "overlap_exact",
-    "permute_qubits",
     "purity",
     "safe_radius",
-    "tensor",
 ]
 
 __version__ = "0.1.0"

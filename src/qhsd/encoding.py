@@ -74,14 +74,6 @@ def _n_qubits_for_length(length: int) -> int:
     return d.bit_length() - 1
 
 
-def max_ball_radius(dim: int) -> float:
-    """Outer radius sqrt((D-1)/(2D)); necessary for positivity, and reached
-    exactly by pure states."""
-    if dim < 2:
-        raise StateError(f"dim={dim} must be >= 2")
-    return float(np.sqrt((dim - 1) / (2.0 * dim)))
-
-
 def safe_radius(dim: int) -> float:
     """Inner radius 1/sqrt(2 D (D-1)); every vector inside encodes to a
     positive-semidefinite matrix regardless of direction."""
@@ -137,21 +129,3 @@ def decode(rho: DensityMatrix) -> np.ndarray:
     basis = generator_basis(rho.n_qubits)
     return np.real(np.einsum("jk,ikj->i", rho.matrix, basis.generators)) / 2.0
 
-
-def hypercube_scale(dim: int, l: float) -> float:
-    """Uniform factor mapping the cube [-l, l]^(D^2-1) into the safe ball."""
-    if not 0 < l < math.inf:
-        raise StateError(f"half-side l={l} must be positive and finite")
-    return safe_radius(dim) / (l * np.sqrt(dim ** 2 - 1))
-
-
-def embed_hypercube(x: Sequence[float], l: float) -> np.ndarray:
-    """Rescale raw data from [-l, l] per component into the safe ball, so the
-    encoded matrix is positive for every point of the cube."""
-    x = np.asarray(x, dtype=float)
-    n_qubits = _n_qubits_for_length(x.shape[0])
-    if not np.isfinite(x).all():
-        raise StateError(f"x has non-finite components: {x.tolist()}")
-    if np.abs(x).max(initial=0.0) > l * (1 + 1e-12):
-        raise StateError(f"component magnitude exceeds l={l}")
-    return x * hypercube_scale(2 ** n_qubits, l)

@@ -64,6 +64,8 @@ class NoiseModel:
         _check_mode(self.mode)
         _check_shots("shots", self.shots)
         _check_integer("seed", self.seed)
+        if self.seed < 0:
+            raise StateError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_mode(mode: str) -> None:
@@ -130,22 +132,6 @@ class OverlapEstimate:
     std_error: float
     clamped: bool
     counts: CoincidenceCounts
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Convex mixture prepared member-by-member, as when a mixed state is
-    accumulated from Bell-state coincidence records."""
-
-    members: Tuple[Tuple[float, DensityMatrix], ...]
-
-    def __post_init__(self):
-        total = sum(w for w, _ in self.members)
-        if abs(total - 1.0) > 1e-12:
-            raise StateError(f"ensemble weights sum to {total}, expected 1")
-        for w, _ in self.members:
-            if not 0.0 <= w <= 1.0:
-                raise StateError(f"ensemble weight {w} outside [0, 1]")
 
 
 _SINGLET = make_bell(BellKind.PSI_MINUS).matrix
@@ -345,35 +331,6 @@ def measure_hsd(
         np.sqrt(o11.std_error ** 2 + o22.std_error ** 2 + 4.0 * o12.std_error ** 2)
     )
     return HsdMeasurement(value, d2, d2_err, clamped, (o11, o22, o12))
-
-
-def ensemble_measure(
-    spec1: EnsembleSpec,
-    spec2: EnsembleSpec,
-    noise: NoiseModel,
-    stream_key: Sequence[int] = (),
-) -> OverlapEstimate:
-    """Overlap of two convex mixtures, accumulated member pair by member
-    pair with shots apportioned by the weight products."""
-    total = np.zeros(spec1.members[0][1].dim)
-    shots_total = 0
-    for i, (w1, s1) in enumerate(spec1.members):
-        for j, (w2, s2) in enumerate(spec2.members):
-            w = w1 * w2
-            probs = povm_probabilities(s1, s2)
-            if noise.mode == "exact":
-                total += w * _draw_counts(probs, noise)
-                shots_total = noise.shots
-            else:
-                pair_shots = int(round(noise.shots * w))
-                if pair_shots == 0:
-                    continue
-                pair_noise = NoiseModel(noise.mode, pair_shots, noise.seed)
-                total += _draw_counts(probs, pair_noise, (*stream_key, i, j))
-                shots_total += pair_shots
-    if shots_total == 0:
-        raise EstimationError(f"every member pair rounds to 0 of {noise.shots} shots")
-    return estimate_overlap(CoincidenceCounts(tuple(total.tolist()), shots_total), noise.mode)
 
 
 def plan_measurements(n_qubits: int, method: str) -> int:

@@ -97,8 +97,7 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         d = self.matrix.shape[0]
-        if d < 1 or d & (d - 1):
-            raise StateError(f"dimension {d} is not a power of two")
+        _check_qubit_dim(d)
         return d.bit_length() - 1
 
 
@@ -187,27 +186,6 @@ def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float,
     if d2 < 0.0:
         return 0.0, d2, True
     return float(np.sqrt(d2)), d2, False
-
-
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(np.kron(a.matrix, b.matrix))
-
-
-def permute_qubits(a: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
-    """Relabel qubits so that new qubit i is old qubit order[i]."""
-    n = a.n_qubits
-    order = list(order)
-    if sorted(order) != list(range(n)):
-        raise StateError(f"{order} is not a permutation of 0..{n - 1}")
-    t = a.matrix.reshape((2,) * (2 * n))
-    t = t.transpose(order + [n + o for o in order])
-    return DensityMatrix(t.reshape(a.dim, a.dim))
-
-
-def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = a @ a.conj().T
-    return DensityMatrix(m / np.real(np.trace(m)))
 
 
 # ---------------------------------------------------------------------------

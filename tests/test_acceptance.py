@@ -25,8 +25,9 @@ from qhsd.states import (
     make_werner,
     overlap_exact,
     purity,
-    random_mixed,
 )
+
+from oracles import random_mixed
 
 
 def _report(name):

@@ -208,8 +208,12 @@ def test_fuzzed_state_specs_keep_exit_code_contract(a, b):
 
 # Counts are float64, exact for integers up to 2^53; larger shot counts are
 # refused before numpy sees them (at 2^63 its binomial overflows a C long).
-@pytest.mark.parametrize("shots", [
-    "0", "-5", str(2 ** 53 + 1), str(2 ** 63), pytest.param("1" + "0" * 400, id="10^400"),
+# A negative seed is refused by every subcommand alike, before any work.
+@pytest.mark.parametrize("flag, value, bound", [
+    *[pytest.param("--shots", v, ">= 1", id=v) for v in ("0", "-5")],
+    *[pytest.param("--shots", str(v), "<= 2^53", id=str(v)) for v in (2 ** 53 + 1, 2 ** 63)],
+    pytest.param("--shots", "1" + "0" * 400, "<= 2^53", id="10^400"),
+    pytest.param("--seed", "-1", ">= 0", id="seed=-1"),
 ])
 @pytest.mark.parametrize("argv", [
     ["overlap", "mixed", "mixed"],
@@ -219,17 +223,17 @@ def test_fuzzed_state_specs_keep_exit_code_contract(a, b):
     ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "exact"],
     ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "binomial"],
     ["distance", "bell:phi+", "bell:phi-", "--mode", "simulated", "--noise", "poisson"],
+    ["reproduce", "clusters_demo", "--out-dir", "OUT"],
 ])
-def test_bad_shots_exit_code(tmp_path, capsys, argv, shots):
+def test_bad_shots_exit_code(tmp_path, capsys, argv, flag, value, bound):
     points = tmp_path / "points.csv"
     points.write_text("0.1,0.0,0.0\n0.0,0.1,0.0\n0.0,0.0,0.1\n")
     out_dir = tmp_path / "out"
     argv = [{"POINTS": str(points), "OUT": str(out_dir)}.get(a, a) for a in argv]
-    code, out, err = run(capsys, *argv, "--shots", shots)
+    code, out, err = run(capsys, *argv, flag, value)
     assert code == 2
     assert out == ""
-    bound = ">= 1" if int(shots) < 1 else "<= 2^53"
-    assert err == f"error: shots must be {bound}, got {shots}\n"
+    assert err == f"error: {flag[2:]} must be {bound}, got {value}\n"
     assert not out_dir.exists()
 
 

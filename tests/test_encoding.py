@@ -11,15 +11,14 @@ from qhsd.encoding import (
     EncodingError,
     _n_qubits_for_length,
     decode,
-    embed_hypercube,
     encode,
     generator_basis,
-    hypercube_scale,
-    max_ball_radius,
     min_eigenvalues,
     safe_radius,
 )
-from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mixed, purity, random_mixed
+from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mixed, purity
+
+from oracles import random_mixed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -75,7 +74,7 @@ def test_round_trips(n):
         u = decode(rho)
         assert hsd_exact(encode(u), rho) < 1e-9
         assert np.abs(decode(encode(u)) - u).max() < 1e-10
-        assert np.linalg.norm(u) <= max_ball_radius(dim) + 1e-9
+        assert np.linalg.norm(u) <= np.sqrt((dim - 1) / (2 * dim)) + 1e-9  # reached by pure states
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -102,17 +101,13 @@ def test_encoded_purity():
 
 
 def test_radii():
-    assert max_ball_radius(2) == pytest.approx(0.5, abs=1e-15)
-    assert max_ball_radius(4) == pytest.approx(np.sqrt(3 / 8), abs=1e-15)
-    assert max_ball_radius(10 ** 9) == pytest.approx(1 / np.sqrt(2), abs=1e-6)
     assert safe_radius(2) == pytest.approx(0.5, abs=1e-15)
     assert safe_radius(4) == pytest.approx(1 / np.sqrt(24), abs=1e-15)
 
 
-@pytest.mark.parametrize("radius", [max_ball_radius, safe_radius])
-def test_radii_refuse_dimension_below_two(radius):
+def test_radii_refuse_dimension_below_two():
     with pytest.raises(StateError, match="dim=1 must be >= 2"):
-        radius(1)
+        safe_radius(1)
 
 
 def test_safe_radius_sufficient_not_necessary():
@@ -134,48 +129,10 @@ def test_encode_rejects_outside_state_space():
         encode(u)
 
 
-def test_hypercube_scaling():
-    s = hypercube_scale(2, 0.5)
-    assert s == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-    corner = embed_hypercube([0.5, 0.5, 0.5], l=0.5)
-    assert np.linalg.norm(corner) == pytest.approx(0.5, abs=1e-12)
-    assert np.abs(embed_hypercube(np.zeros(15), l=1.0)).max() == 0.0
-    with pytest.raises(StateError):
-        embed_hypercube([0.6, 0.0, 0.0], l=0.5)
-
-
-@pytest.mark.parametrize("l", [np.nan, np.inf, 0.0, -1.0])
-def test_hypercube_scale_refuses_bad_half_side(l):
-    with pytest.raises(StateError, match=f"half-side l={l} must be positive and finite"):
-        hypercube_scale(2, l)
-
-
-@pytest.mark.parametrize("x, l", [
-    ([0.1, 0.0, 0.0], np.nan),
-    ([0.1, 0.0, 0.0], np.inf),
-    ([np.nan, 0.0, 0.0], 1.0),
-    ([0.0, -np.inf, 0.0], np.inf),
-])
-def test_embed_hypercube_refuses_non_finite_input(x, l):
-    with pytest.raises(StateError):
-        embed_hypercube(x, l)
-
-
-def test_hypercube_distance_scaling():
-    rng = np.random.default_rng(32)
-    l = 2.0
-    s = hypercube_scale(4, l)
-    for _ in range(100):
-        x = rng.uniform(-l, l, 15)
-        y = rng.uniform(-l, l, 15)
-        d = hsd_exact(encode(embed_hypercube(x, l)), encode(embed_hypercube(y, l)))
-        assert abs(d - np.sqrt(2) * s * np.linalg.norm(x - y)) < 1e-9
-
-
 def test_all_hypercube_corners_encode_psd():
-    l = 1.0
-    s = hypercube_scale(4, l)
-    corners = np.array(list(itertools.product((-l, l), repeat=15))) * s
+    # [-1, 1]^15 scaled uniformly into the safe ball: its corners touch the sphere
+    s = safe_radius(4) / np.sqrt(15)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=15))) * s
     basis = generator_basis(2)
     mats = np.eye(4) / 4 + np.einsum("ci,ijk->cjk", corners, basis.generators)
     eigs = np.linalg.eigvalsh(mats)
@@ -234,7 +191,8 @@ def _vectors(draw):
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     u = rng.standard_normal(4 ** n - 1)
-    u *= draw(st.floats(0.0, 1.5)) * max_ball_radius(2 ** n) / np.linalg.norm(u)
+    d = 2 ** n
+    u *= draw(st.floats(0.0, 1.5)) * np.sqrt((d - 1) / (2 * d)) / np.linalg.norm(u)
     u[rng.random(u.size) < 0.2] = 0.0
     u[rng.random(u.size) < 0.2] = -0.0
     return u.tolist()

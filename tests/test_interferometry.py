@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qhsd.interferometry import (
     CoincidenceCounts,
-    EnsembleSpec,
     NOISE_MODES,
     EstimationError,
     NoiseModel,
@@ -16,7 +15,6 @@ from qhsd.interferometry import (
     _povm_functional,
     _stream,
     _stream_words,
-    ensemble_measure,
     estimate_overlap,
     measure_hsd,
     measure_overlap,
@@ -35,11 +33,10 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
-    permute_qubits,
     pure_state,
-    random_mixed,
-    tensor,
 )
+
+from oracles import permute_qubits, random_mixed, tensor
 
 
 # Reference for the configuration probabilities: the joint state of the two
@@ -225,7 +222,7 @@ def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    _SEEDS,
+    st.integers(0, 2 ** 65),  # NoiseModel refuses negative seeds; past 2^64 they wrap
     _KEYS,
     st.sampled_from(["binomial", "poisson"]),
     st.integers(1, MAX_QUBITS),
@@ -284,9 +281,11 @@ def test_estimate_overlap_refuses_unknown_mode():
     ("seed", 1.5),
     ("seed", False),
     ("seed", None),
+    ("seed", -1),
 ])
 def test_noise_model_requires_integer_shots_and_seed(field, value):
-    with pytest.raises(StateError, match=f"{field} must be an integer"):
+    rule = "must be >= 0, got -1" if value == -1 else "must be an integer"
+    with pytest.raises(StateError, match=f"^{field} {rule}"):
         NoiseModel(**{"mode": "binomial", "shots": 1000, "seed": 1, field: value})
 
 
@@ -332,13 +331,6 @@ def test_shots_are_bounded_by_two_to_the_53(mode):
     for shots in (2 ** 53 + 1, 2 ** 63, 10 ** 400):
         with pytest.raises(StateError, match=f"^shots must be <= 2\\^53, got {shots}$"):
             NoiseModel(mode, shots, 0)
-
-
-def test_ensemble_measure_with_no_shots_left_raises():
-    uniform = EnsembleSpec(tuple((0.25, make_bell(k)) for k in BellKind))
-    for mode in ("binomial", "poisson"):
-        with pytest.raises(EstimationError, match="every member pair rounds to 0 of 1 shots"):
-            ensemble_measure(uniform, uniform, NoiseModel(mode, 1, 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -422,82 +414,18 @@ def test_shot_scaling_minus_half():
     assert abs(slope + 0.5) < 0.05
 
 
-def test_ensemble_measure_bell_mixture():
-    noise = NoiseModel("exact", 10_000, 0)
-    uniform = EnsembleSpec(tuple((0.25, make_bell(k)) for k in BellKind))
-    est = ensemble_measure(uniform, uniform, noise)
-    assert est.value == pytest.approx(0.25, abs=1e-9)
-
-
-def test_ensemble_measure_single_member_reduces():
-    noise = NoiseModel("exact", 10_000, 0)
-    a = EnsembleSpec(((1.0, make_bell(BellKind.PHI_PLUS)),))
-    b = EnsembleSpec(((1.0, make_bell(BellKind.PSI_MINUS)),))
-    est = ensemble_measure(a, b, noise)
-    assert est.value == pytest.approx(0.0, abs=1e-9)
-    qubit = EnsembleSpec(((1.0, maximally_mixed(2)),))
-    assert ensemble_measure(qubit, qubit, noise).value == pytest.approx(0.5, abs=1e-9)
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 2).flatmap(
     lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 ** (n + 1), max_size=2 ** (n + 1))
 ))
-def test_ensemble_measure_exact_pure_self_overlap(entries):
+def test_measure_overlap_exact_pure_self_overlap(entries):
     # off-diagonal products make some rates round just below 0
     a = np.array(entries)
     if np.linalg.norm(a) < 1e-3:
         return
     psi = pure_state(a[::2] + 1j * a[1::2])
-    member = EnsembleSpec(((1.0, psi),))
-    est = ensemble_measure(member, member, NoiseModel("exact", 10_000, 0))
+    est = measure_overlap(psi, psi, NoiseModel("exact", 10_000, 0))
     assert est.value == pytest.approx(1.0, abs=1e-9)
-
-
-def _werner_spec(p):
-    """The Werner state p Phi+ + (1 - p) I/4 as a mixture of the four Bell states."""
-    members = [(p + (1 - p) / 4, make_bell(BellKind.PHI_PLUS))] + [
-        ((1 - p) / 4, make_bell(k)) for k in BellKind if k is not BellKind.PHI_PLUS
-    ]
-    return EnsembleSpec(tuple(members))
-
-
-def test_ensemble_measure_werner_decomposition():
-    noise = NoiseModel("exact", 10_000, 0)
-    for p in np.linspace(0.0, 1.0, 11):
-        spec = _werner_spec(p)
-        est = ensemble_measure(spec, spec, noise)
-        assert est.value == pytest.approx(0.25 + 0.75 * p * p, abs=1e-9)
-
-
-@pytest.mark.parametrize("mode", ["binomial", "poisson"])
-@pytest.mark.parametrize("p, shots", [(0.3, 100_000), (0.9, 500), (1.0, 2000)])
-def test_ensemble_measure_stochastic_werner_decomposition(mode, p, shots):
-    # at 500 shots the pairs of two minority members (weight 0.025^2) get none
-    spec, key = _werner_spec(p), (7, 3)
-    est = ensemble_measure(spec, spec, NoiseModel(mode, shots, 11), key)
-    counts, shots_total = 0.0, 0
-    for i, (w1, s1) in enumerate(spec.members):
-        for j, (w2, s2) in enumerate(spec.members):
-            pair_shots = round(shots * (w1 * w2))
-            if pair_shots:
-                probs = povm_probabilities(s1, s2)
-                counts = counts + _draw_counts(probs, NoiseModel(mode, pair_shots, 11), (*key, i, j))
-                shots_total += pair_shots
-    assert est.counts.shots_per_config == shots_total
-    assert est.counts.rates == tuple(counts.tolist())
-    assert abs(est.value - (0.25 + 0.75 * p * p)) <= 5 * est.std_error
-
-
-def test_ensemble_weights_validated():
-    with pytest.raises(StateError):
-        EnsembleSpec(((0.5, make_bell(BellKind.PHI_PLUS)),))
-
-
-def test_ensemble_weights_outside_unit_interval():
-    bell = make_bell(BellKind.PHI_PLUS)
-    with pytest.raises(StateError, match="ensemble weight 1.5 outside"):
-        EnsembleSpec(((1.5, bell), (-0.5, bell)))
 
 
 def test_plan_measurements():

@@ -3,6 +3,7 @@ import pytest
 
 from qhsd.encoding import encode
 from qhsd.states import (
+    MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
@@ -14,13 +15,12 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
-    permute_qubits,
     pure_state,
     purity,
-    random_mixed,
     state_from_json,
-    tensor,
 )
+
+from oracles import permute_qubits, random_mixed, tensor
 
 
 def test_bell_phi_plus_entries():
@@ -212,10 +212,10 @@ def test_permute_qubits():
         permute_qubits(xy, [0, 0])
 
 
-@pytest.mark.parametrize("dim", range(2, 17))
+@pytest.mark.parametrize("dim", [*range(2, 17), 32])
 def test_n_qubits_of_unvalidated_matrix(dim):
     rho = DensityMatrix(np.eye(dim) / dim)
-    if dim & (dim - 1):
+    if dim & (dim - 1) or dim > 2 ** MAX_QUBITS:
         with pytest.raises(StateError, match=f"dimension {dim} is not a power of two"):
             rho.n_qubits
     else:

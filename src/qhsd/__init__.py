@@ -15,7 +15,7 @@ from qhsd.states import (
     purity,
 )
 from qhsd.encoding import decode, encode, generator_basis, safe_radius
-from qhsd.interferometry import NoiseModel, estimate_overlap, measure_hsd
+from qhsd.interferometry import NoiseModel, measure_hsd
 from qhsd.clustering import kmeans
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "NoiseModel",
     "decode",
     "encode",
-    "estimate_overlap",
     "generator_basis",
     "hsd_exact",
     "hsd_from_overlaps",

@@ -76,7 +76,7 @@ def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
         "value": est.value,
         "std_error": est.std_error,
         "out_of_range": est.clamped,
-        "counts": {**est.counts.named(), "shots_per_config": est.counts.shots_per_config},
+        "counts": {**est.named_counts(), "shots_per_config": est.noise.shots},
     }
 
 

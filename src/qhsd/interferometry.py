@@ -19,7 +19,6 @@ first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -27,7 +26,6 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from qhsd.states import (
-    MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
@@ -61,77 +59,47 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        _check_shots("shots", self.shots)
-        _check_integer("seed", self.seed)
+        if self.mode not in NOISE_MODES:
+            raise StateError(f"unknown noise mode {self.mode!r}")
+        if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):
+            raise StateError(f"shots must be an integer, got {self.shots!r}")
+        if self.shots < 1:
+            raise StateError(f"shots must be >= 1, got {self.shots}")
+        if self.shots > MAX_SHOTS:
+            raise StateError(f"shots must be <= 2^53, got {self.shots}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise StateError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise StateError(f"seed must be >= 0, got {self.seed}")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in NOISE_MODES:
-        raise StateError(f"unknown noise mode {mode!r}")
-
-
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise StateError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_shots(name: str, value) -> None:
-    _check_integer(name, value)
-    if value < 1:
-        raise StateError(f"{name} must be >= 1, got {value}")
-    if value > MAX_SHOTS:
-        raise StateError(f"{name} must be <= 2^53, got {value}")
-
-
-@dataclass(frozen=True)
-class CoincidenceCounts:
-    """The 2^n rates of one n-qubit overlap configuration.
-
-    `rates` is in configuration order: bit n-1-k of the index is set when
-    photon k takes the singlet projection, so photon A is the high bit (II,
-    IS, SI, SS for two qubits).  named() labels each rate f_<letters>, one
-    I or S per photon, photon A first: f_SI has the singlet on photon A.
-
-    Counts are integers in the stochastic modes; exact mode keeps the
-    unrounded expected counts so the estimator reproduces the exact overlap.
-    Every rate is finite and non-negative, and shots_per_config >= 1.
-    """
-
-    rates: Tuple[float, ...]
-    shots_per_config: int
-
-    def __post_init__(self):
-        n = len(self.rates)
-        if not 2 <= n <= 2 ** MAX_QUBITS or n & (n - 1):
-            raise StateError(f"{n} rates, expected 2^n for n in 1..{MAX_QUBITS}")
-        if not all(0.0 <= r < math.inf for r in self.rates):
-            raise StateError(f"rates must be finite and non-negative, got {self.rates}")
-        _check_shots("shots_per_config", self.shots_per_config)
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.rates).bit_length() - 1
-
-    def named(self) -> Dict[str, float]:
-        """{f_<letters>: rate} for every configuration."""
-        return {
-            "f_" + "".join("IS"[bit] for bit in cfg): rate
-            for cfg, rate in zip(_configs(self.n_qubits), self.rates)
-        }
 
 
 @dataclass(frozen=True)
 class OverlapEstimate:
     """Estimated Tr(rho1 rho2); `clamped` flags values outside [0, 1]
-    (the value itself is reported unclamped)."""
+    (the value itself is reported unclamped).
+
+    `counts` holds the 2^n coincidence counts it was estimated from, in
+    configuration order: bit n-1-k of the index is set when photon k takes
+    the singlet projection, so photon A is the high bit (II, IS, SI, SS for
+    two qubits).  They are integers in the stochastic modes; exact mode
+    keeps the unrounded expected counts so the estimator reproduces the
+    exact overlap.  `noise` is the model they were counted under.
+    """
 
     value: float
     std_error: float
     clamped: bool
-    counts: CoincidenceCounts
+    counts: Tuple[float, ...]
+    noise: NoiseModel
+
+    def named_counts(self) -> Dict[str, float]:
+        """{f_<letters>: count} for every configuration, one I or S per
+        photon, photon A first: f_SI has the singlet on photon A."""
+        n = len(self.counts).bit_length() - 1
+        return {
+            "f_" + "".join("IS"[bit] for bit in cfg): count
+            for cfg, count in zip(_configs(n), self.counts)
+        }
 
 
 _SINGLET = make_bell(BellKind.PSI_MINUS).matrix
@@ -176,7 +144,7 @@ def _povm_functional(n: int) -> np.ndarray:
 
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n configurations of two n-qubit states, in
-    configuration order (see CoincidenceCounts): II, IS, SI, SS for n = 2."""
+    configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
     check_same_dim(rho1, rho2)
     k = _povm_functional(rho1.n_qubits)
     return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
@@ -191,10 +159,10 @@ def _config_weights(n: int) -> np.ndarray:
 
 
 def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
-    """The uint32 words SeedSequence makes of [seed mod 2^64, *key]: each
-    value split into little-endian 32-bit words, at least one per value."""
+    """The uint32 words SeedSequence makes of [seed, *key]: each value split
+    into little-endian 32-bit words, at least one per value."""
     words = []
-    for value in (int(seed) & 0xFFFFFFFFFFFFFFFF, *[int(k) for k in key]):
+    for value in (int(seed), *[int(k) for k in key]):
         if value < 0:
             raise ValueError(f"stream key entries must be non-negative, got {value}")
         words.append(value & 0xFFFFFFFF)
@@ -272,27 +240,25 @@ def _draw_counts(
     return counts
 
 
-def estimate_overlap(counts: CoincidenceCounts, mode: str) -> OverlapEstimate:
-    """Overlap and first-order-propagated uncertainty from coincidence rates
-    counted under the noise mode `mode`."""
-    _check_mode(mode)
-    rates = np.array(counts.rates)
-    f0 = rates[0]
+def _estimate(counts: np.ndarray, noise: NoiseModel) -> OverlapEstimate:
+    """Overlap and first-order-propagated uncertainty from the coincidence
+    counts of one overlap, counted under `noise`."""
+    f0 = counts[0]
     if f0 <= 0:
         raise EstimationError("f_II = 0: cannot normalize the overlap estimate")
-    wrest = _config_weights(counts.n_qubits)[1:]
-    acc = float(wrest @ rates[1:])
+    wrest = _config_weights(len(counts).bit_length() - 1)[1:]
+    acc = float(wrest @ counts[1:])
     value = 1.0 + acc / f0
     err = 0.0
-    if mode != "exact":
-        if mode == "binomial":
-            phat = np.clip(rates / counts.shots_per_config, 0.0, 1.0)
-            var = counts.shots_per_config * phat * (1.0 - phat)
+    if noise.mode != "exact":
+        if noise.mode == "binomial":
+            phat = np.clip(counts / noise.shots, 0.0, 1.0)
+            var = noise.shots * phat * (1.0 - phat)
         else:
-            var = rates.astype(float)
+            var = counts
         var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
         err = float(np.sqrt(var_value))
-    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, counts)
+    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, tuple(counts.tolist()), noise)
 
 
 def measure_overlap(
@@ -302,7 +268,7 @@ def measure_overlap(
     stream_key: Sequence[int] = (),
 ) -> OverlapEstimate:
     counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
-    return estimate_overlap(CoincidenceCounts(tuple(counts.tolist()), noise.shots), noise.mode)
+    return _estimate(counts, noise)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The library never forms the joint state of two copies; these build it
 explicitly (tensor product, then qubit relabelling), and draw random mixed
-states for property checks.
+states for property checks.  The overlap estimator is kept as first written,
+on a plain sequence of rates with the mode and shots passed separately.
 """
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -34,3 +35,25 @@ def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
     return DensityMatrix(m / np.real(np.trace(m)))
+
+
+def estimate_overlap(rates: Sequence[float], shots: int, mode: str) -> Tuple[float, float]:
+    """(value, std_error) from coincidence rates in configuration order,
+    f_II > 0, with weights (-2)^(number of singlet projections) and
+    first-order propagated binomial or Poisson variances (none in exact
+    mode)."""
+    rates = np.array(rates)
+    f0 = rates[0]
+    wrest = np.array([(-2.0) ** bin(c).count("1") for c in range(len(rates))])[1:]
+    acc = float(wrest @ rates[1:])
+    value = 1.0 + acc / f0
+    err = 0.0
+    if mode != "exact":
+        if mode == "binomial":
+            phat = np.clip(rates / shots, 0.0, 1.0)
+            var = shots * phat * (1.0 - phat)
+        else:
+            var = rates.astype(float)
+        var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
+        err = float(np.sqrt(var_value))
+    return value, err

@@ -5,10 +5,9 @@ with `pytest -s tests/test_acceptance.py` to see them).
 """
 
 import numpy as np
-import pytest
 
 from qhsd.clustering import EuclideanBackend, ExactHsdBackend, SimulatedHsdBackend, kmeans, two_gaussian_demo
-from qhsd.encoding import decode, encode, generator_basis, safe_radius
+from qhsd.encoding import decode, encode, safe_radius
 from qhsd.interferometry import (
     NoiseModel,
     measure_hsd,

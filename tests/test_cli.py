@@ -52,6 +52,19 @@ def test_distance_simulated_deterministic(capsys):
     assert out1 == out2
 
 
+def test_seeds_past_two_to_the_64_are_their_own_streams(capsys):
+    args = ("distance", "bell:phi+", "werner:p=0.3", "--mode", "simulated",
+            "--noise", "binomial", "--shots", "1000", "--seed")
+    reports = []
+    for seed in (2 ** 64, 0):
+        code, out, _ = run(capsys, *args, str(seed))
+        assert code == 0
+        report = json.loads(out)
+        assert report.pop("noise")["seed"] == seed
+        reports.append(report)
+    assert reports[0]["overlaps"] != reports[1]["overlaps"]
+
+
 def test_overlap_command(capsys):
     code, out, _ = run(capsys, "overlap", "mixed", "mixed")
     assert code == 0

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhsd.interferometry import (
-    CoincidenceCounts,
     NOISE_MODES,
     EstimationError,
     NoiseModel,
     _draw_counts,
+    _estimate,
     _pool_states,
     _povm_functional,
     _stream,
     _stream_words,
-    estimate_overlap,
     measure_hsd,
     measure_overlap,
     plan_measurements,
@@ -36,7 +35,7 @@ from qhsd.states import (
     pure_state,
 )
 
-from oracles import permute_qubits, random_mixed, tensor
+from oracles import estimate_overlap, permute_qubits, random_mixed, tensor
 
 
 # Reference for the configuration probabilities: the joint state of the two
@@ -149,16 +148,15 @@ def test_povm_probabilities_pure_self():
 
 
 def sample_counts(probabilities, noise):
-    """Two-qubit coincidence counts for probabilities in configuration order
-    (II, IS, SI, SS)."""
-    counts = _draw_counts(np.array(probabilities), noise)
-    return CoincidenceCounts(tuple(counts.tolist()), noise.shots)
+    """The estimate made of two-qubit coincidence counts drawn for
+    probabilities in configuration order (II, IS, SI, SS)."""
+    return _estimate(_draw_counts(np.array(probabilities), noise), noise)
 
 
 def test_sample_counts_exact_mode():
-    counts = sample_counts((1.0, 0.25, 0.25, 1 / 16), NoiseModel("exact", 1600, 0))
-    assert counts.rates == (1600, 400, 400, 100)
-    assert counts.named() == {"f_II": 1600, "f_IS": 400, "f_SI": 400, "f_SS": 100}
+    est = sample_counts((1.0, 0.25, 0.25, 1 / 16), NoiseModel("exact", 1600, 0))
+    assert est.counts == (1600, 400, 400, 100)
+    assert est.named_counts() == {"f_II": 1600, "f_IS": 400, "f_SI": 400, "f_SS": 100}
 
 
 def test_sample_counts_seeded_determinism():
@@ -167,14 +165,14 @@ def test_sample_counts_seeded_determinism():
     c2 = sample_counts((1.0, 0.2, 0.3, 0.05), noise)
     assert c1 == c2
     c3 = sample_counts((1.0, 0.2, 0.3, 0.05), NoiseModel("binomial", 5000, 43))
-    assert c1 != c3
+    assert c1.counts != c3.counts
 
 
 def test_sample_counts_binomial_mean():
     p_si = 0.3
     shots = 2000
     vals = [
-        sample_counts((1.0, 0.2, p_si, 0.05), NoiseModel("binomial", shots, seed)).named()["f_SI"]
+        sample_counts((1.0, 0.2, p_si, 0.05), NoiseModel("binomial", shots, seed)).named_counts()["f_SI"]
         / shots
         for seed in range(2000)
     ]
@@ -183,11 +181,12 @@ def test_sample_counts_binomial_mean():
 
 
 def _seed_stream_rng(seed, key):
-    """The stream definition: default_rng of [seed mod 2^64, *key]."""
-    return np.random.default_rng([int(seed) & (2 ** 64 - 1), *[int(k) for k in key]])
+    """The stream definition: default_rng of [seed, *key]."""
+    return np.random.default_rng([int(seed), *[int(k) for k in key]])
 
 
-_SEEDS = st.integers(-(2 ** 63), 2 ** 64 - 1)
+# NoiseModel refuses negative seeds; seeds past 2^64 take three or more words
+_SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 64, 2 ** 96))
 _KEYS = st.lists(st.integers(0, 2 ** 40), max_size=6)
 # SeedSequence entropy of 1 to 8 values, some past 2^32 (two words each)
 _ENTROPY = st.lists(
@@ -222,7 +221,7 @@ def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(0, 2 ** 65),  # NoiseModel refuses negative seeds; past 2^64 they wrap
+    _SEEDS,
     _KEYS,
     st.sampled_from(["binomial", "poisson"]),
     st.integers(1, MAX_QUBITS),
@@ -238,12 +237,62 @@ def test_draw_counts_match_per_config_streams(seed, key, mode, n, shots):
     assert _draw_counts(probs, noise, key).tolist() == expected
 
 
+@st.composite
+def overlap_cases(draw):
+    """Two random 1-4 qubit states, each mixed (A A^dag / Tr) or pure, a noise
+    model of any mode and a stream key."""
+    dim = 2 ** draw(st.integers(1, MAX_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pair = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            pair.append(random_mixed(dim, rng))
+        else:
+            pair.append(pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+    noise = NoiseModel(
+        draw(st.sampled_from(NOISE_MODES)),
+        draw(st.sampled_from([1, 7, 1000, 100_000, 2 ** 53])),
+        draw(_SEEDS),
+    )
+    return (*pair, noise, draw(_KEYS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlap_cases())
+def test_measure_overlap_counts_and_estimate(case):
+    a, b, noise, key = case
+    probs = np.clip(povm_probabilities(a, b), 0.0, 1.0)
+    if noise.mode == "exact":
+        expected = (noise.shots * probs).tolist()
+    else:
+        expected = []
+        for i, p in enumerate(probs):
+            rng = _seed_stream_rng(noise.seed, (*key, i))
+            draw = rng.binomial(noise.shots, p) if noise.mode == "binomial" else rng.poisson(noise.shots * p)
+            expected.append(float(draw))
+    if expected[0] <= 0:
+        with pytest.raises(EstimationError):
+            measure_overlap(a, b, noise, key)
+        return
+    est = measure_overlap(a, b, noise, key)
+    assert est.counts == tuple(expected) and est.noise == noise
+    assert len(est.counts) == a.dim
+    assert all(0.0 <= c < np.inf for c in est.counts)
+    if noise.mode != "exact":
+        assert all(c == int(c) for c in est.counts)
+    value, std_error = estimate_overlap(est.counts, noise.shots, noise.mode)
+    assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
+    assert est.clamped == (not 0.0 <= value <= 1.0)
+
+
 def test_stream_rng_rejects_negative_key():
     for key in [(-1,), (3, -(2 ** 40))]:
         with pytest.raises(ValueError):
             _seed_stream_rng(0, key)
         with pytest.raises(ValueError):
             _stream_words(0, key)
+    with pytest.raises(ValueError):
+        _stream_words(-1, ())
 
 
 def test_povm_functional_qubit_range():
@@ -253,22 +302,21 @@ def test_povm_functional_qubit_range():
 
 
 def test_estimate_overlap_arithmetic():
-    counts = CoincidenceCounts((1600, 400, 400, 100), 1600)
-    est = estimate_overlap(counts, "binomial")
+    est = _estimate(np.array([1600.0, 400.0, 400.0, 100.0]), NoiseModel("binomial", 1600, 0))
     assert est.value == pytest.approx(0.25, abs=1e-12)
     assert not est.clamped
-    quiet = estimate_overlap(CoincidenceCounts((1000, 0, 0, 0), 1000), "binomial")
+    quiet = _estimate(np.array([1000.0, 0.0, 0.0, 0.0]), NoiseModel("binomial", 1000, 0))
     assert quiet.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EstimationError):
-        estimate_overlap(CoincidenceCounts((0, 1, 1, 1), 10), "binomial")
+        _estimate(np.array([0.0, 1.0, 1.0, 1.0]), NoiseModel("binomial", 10, 0))
 
 
 def test_estimate_overlap_refuses_unknown_mode():
-    counts = CoincidenceCounts((1000.0, 10.0, 12.0, 1.0), 1000)
     for mode in ("bogus", "binomal", "Poisson"):
-        with pytest.raises(StateError, match=f"unknown noise mode {mode!r}"):
-            estimate_overlap(counts, mode)
-    errors = [estimate_overlap(counts, mode).std_error for mode in NOISE_MODES]
+        with pytest.raises(StateError, match=f"^unknown noise mode {mode!r}$"):
+            NoiseModel(mode, 1000, 0)
+    counts = np.array([1000.0, 10.0, 12.0, 1.0])
+    errors = [_estimate(counts, NoiseModel(mode, 1000, 0)).std_error for mode in NOISE_MODES]
     assert errors[0] == 0.0 and errors[1] != errors[2]
 
 
@@ -278,13 +326,19 @@ def test_estimate_overlap_refuses_unknown_mode():
     ("shots", "1000"),
     ("shots", np.bool_(True)),
     ("shots", np.float64(1000.0)),
+    ("shots", None),
+    ("shots", "10"),
+    ("shots", np.float64(10.0)),
+    ("shots", -3),
     ("seed", 1.5),
     ("seed", False),
     ("seed", None),
     ("seed", -1),
 ])
 def test_noise_model_requires_integer_shots_and_seed(field, value):
-    rule = "must be >= 0, got -1" if value == -1 else "must be an integer"
+    rule = {("seed", -1): "must be >= 0, got -1", ("shots", -3): "must be >= 1, got -3"}.get(
+        (field, value), "must be an integer"
+    )
     with pytest.raises(StateError, match=f"^{field} {rule}"):
         NoiseModel(**{"mode": "binomial", "shots": 1000, "seed": 1, field: value})
 
@@ -302,32 +356,18 @@ def test_noise_model_accepts_numpy_integers():
         NoiseModel("binomial", np.int32(0), 7)
 
 
-@pytest.mark.parametrize("n_rates", [0, 1, 3, 6, 12, 32])
-def test_coincidence_counts_need_two_to_the_n_rates(n_rates):
-    with pytest.raises(StateError, match=f"^{n_rates} rates"):
-        CoincidenceCounts((1.0,) * n_rates, 10)
-
-
 @pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0), 2 ** 53 + 1])
 def test_coincidence_counts_refuse_bad_shots(shots):
-    with pytest.raises(StateError, match="shots_per_config must be"):
-        CoincidenceCounts((1000.0, 10.0, 12.0, 1.0), shots)
-
-
-@pytest.mark.parametrize("bad", [-10.0, -1e-300, np.nan, np.inf, -np.inf])
-def test_coincidence_counts_refuse_negative_or_non_finite_rates(bad):
-    for position in range(4):
-        rates = [1000.0, 10.0, 12.0, 1.0]
-        rates[position] = bad
-        with pytest.raises(StateError, match="rates must be finite and non-negative"):
-            CoincidenceCounts(tuple(rates), 1000)
+    # NoiseModel is the one owner of the shots rule on the count path
+    with pytest.raises(StateError, match="^shots must be"):
+        NoiseModel("binomial", shots, 0)
 
 
 @pytest.mark.parametrize("mode", NOISE_MODES)
 def test_shots_are_bounded_by_two_to_the_53(mode):
     # float64 counts hold integers exactly only up to 2^53
     a, b = make_bell(BellKind.PHI_PLUS), make_bell(BellKind.PHI_MINUS)
-    assert measure_overlap(a, b, NoiseModel(mode, 2 ** 53, 0)).counts.shots_per_config == 2 ** 53
+    assert measure_overlap(a, b, NoiseModel(mode, 2 ** 53, 0)).noise.shots == 2 ** 53
     for shots in (2 ** 53 + 1, 2 ** 63, 10 ** 400):
         with pytest.raises(StateError, match=f"^shots must be <= 2\\^53, got {shots}$"):
             NoiseModel(mode, shots, 0)
@@ -335,9 +375,9 @@ def test_shots_are_bounded_by_two_to_the_53(mode):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coincidence_counts_of_every_qubit_count(n):
-    counts = CoincidenceCounts((10.0,) + (0.0,) * (2 ** n - 1), 10)
-    assert counts.n_qubits == n
-    assert estimate_overlap(counts, "binomial").value == 1.0
+    est = _estimate(np.array([10.0] + [0.0] * (2 ** n - 1)), NoiseModel("binomial", 10, 0))
+    assert list(est.named_counts()) == ["f_" + "".join(c) for c in itertools.product("IS", repeat=n)]
+    assert est.value == 1.0
 
 
 def test_overlap_coverage_orthogonal_bells():

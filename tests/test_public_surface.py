@@ -3,12 +3,15 @@ import pytest
 import qhsd
 from qhsd import encoding, interferometry, states
 
-# Names the library does not define: tensor, permute_qubits and random_mixed
-# are test oracles (tests/oracles.py); the others had no CLI path.
+# Names the library does not define: tensor, permute_qubits, random_mixed and
+# estimate_overlap are test oracles (tests/oracles.py); CoincidenceCounts
+# became OverlapEstimate.counts; the others had no CLI path.
 REMOVED = {
+    "CoincidenceCounts",
     "EnsembleSpec",
     "ensemble_measure",
     "embed_hypercube",
+    "estimate_overlap",
     "hypercube_scale",
     "max_ball_radius",
     "permute_qubits",

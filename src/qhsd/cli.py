@@ -50,7 +50,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
     mixed), read by the same state_from_json as the file."""
     try:
         if os.path.exists(spec):
-            with open(spec) as fh:
+            with open(spec, encoding="utf-8-sig") as fh:
                 obj = json.load(fh)
         else:
             obj = _inline_json(spec)
@@ -164,7 +164,7 @@ def _read_points_csv(path: str) -> np.ndarray:
     non-numeric cell is an error."""
     rows: List[List[float]] = []
     seen = False
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for raw in csv.reader(fh):
             if not raw:
                 continue

@@ -15,9 +15,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.encoding import EncodingError, encode, min_eigenvalues
+from qhsd.encoding import check_encodable, encode
 from qhsd.interferometry import NoiseModel, measure_hsd
-from qhsd.states import EIGENVALUE_TOL, StateError, hsd_exact
+from qhsd.states import StateError, hsd_exact
 
 BACKEND_KINDS = ("euclidean", "hsd_exact", "hsd_simulated")
 
@@ -124,8 +124,8 @@ def kmeans(
 
     Before any distance, a points array that is not 2-D or has a non-finite
     row raises StateError, and under the hsd backends (which encode without
-    validating) a row that encodes outside the state space raises
-    EncodingError; rows count from 0."""
+    validating) encoding.check_encodable raises EncodingError for a row
+    that encodes outside the state space; rows count from 0."""
     points = np.asarray(points, dtype=float)
     if k < 1:
         raise StateError(f"k must be >= 1, got {k}")
@@ -139,13 +139,7 @@ def kmeans(
     if bad.size:
         raise StateError(f"point row {bad[0]} is not finite: {points[bad[0]].tolist()}")
     if backend.kind != "euclidean":
-        lam = min_eigenvalues(points)
-        bad = np.flatnonzero(lam < EIGENVALUE_TOL)
-        if bad.size:
-            raise EncodingError(
-                f"point row {bad[0]} encodes outside the state space: "
-                f"min eigenvalue {lam[bad[0]]:.3e}"
-            )
+        check_encodable(points)
     patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(init_seed)
     centroids = _init_centroids(points, k, rng)

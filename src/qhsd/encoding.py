@@ -94,34 +94,41 @@ def _matrices(u: np.ndarray) -> np.ndarray:
 ENCODE_CACHE_SIZE = 32
 
 
+def check_encodable(points: np.ndarray) -> None:
+    """Raise EncodingError for the first row u of `points` whose encode(u)
+    is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
+    the matrix is not finite (one batched eigendecomposition covers the rest)."""
+    m = _matrices(np.asarray(points, dtype=float))
+    finite = np.isfinite(m).all(axis=(1, 2))
+    lam = np.full(m.shape[0], np.nan)
+    lam[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+    bad = np.flatnonzero(~(lam >= EIGENVALUE_TOL))
+    if bad.size:
+        raise EncodingError(
+            f"point row {bad[0]} encodes outside the state space: "
+            f"min eigenvalue {lam[bad[0]]:.3e}"
+        )
+
+
 def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i.
 
-    With validate=True the smallest eigenvalue is checked; vectors outside
-    the positive set raise EncodingError reporting it.  A vector with the
-    same float64 bytes as one of the last ENCODE_CACHE_SIZE encoded gets
-    the DensityMatrix built for that one, which is shared and read-only.
+    With validate=True, check_encodable(u[None]) runs first, on every call.
+    A vector with the same float64 bytes as one of the last
+    ENCODE_CACHE_SIZE encoded gets the DensityMatrix built for that one,
+    which is shared and read-only.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise StateError(f"expected a feature vector, got shape {u.shape}")
-    return _encode_bytes(u.tobytes(), validate)
+    if validate:
+        check_encodable(u[None])
+    return _encode_bytes(u.tobytes())
 
 
 @lru_cache(maxsize=ENCODE_CACHE_SIZE)
-def _encode_bytes(data: bytes, validate: bool) -> DensityMatrix:
-    m = _matrices(np.frombuffer(data))
-    if validate:
-        lam = float(np.linalg.eigvalsh(m)[0])
-        if lam < EIGENVALUE_TOL:
-            raise EncodingError(f"vector encodes outside the state space: min eigenvalue {lam:.3e}")
-    return DensityMatrix(m)
-
-
-def min_eigenvalues(points: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of encode(u) for every row u of `points`, from one
-    batched eigendecomposition of the stacked matrices."""
-    return np.linalg.eigvalsh(_matrices(np.asarray(points, dtype=float)))[:, 0]
+def _encode_bytes(data: bytes) -> DensityMatrix:
+    return DensityMatrix(_matrices(np.frombuffer(data)))
 
 
 def decode(rho: DensityMatrix) -> np.ndarray:

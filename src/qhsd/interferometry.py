@@ -105,12 +105,6 @@ class OverlapEstimate:
 _SINGLET = make_bell(BellKind.PSI_MINUS).matrix
 
 
-def singlet_projector() -> np.ndarray:
-    """Rank-1 projector onto (|01> - |10>)/sqrt(2) for one photon's two
-    degrees of freedom."""
-    return _SINGLET.copy()
-
-
 def _configs(n: int) -> List[Tuple[int, ...]]:
     """All identity/singlet choices per photon; 1 = singlet.  Binary counting
     order, so (0,...,0) comes first."""

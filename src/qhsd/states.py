@@ -230,10 +230,14 @@ def _named_state(name, params) -> DensityMatrix:
 
 
 def state_from_json(obj) -> DensityMatrix:
-    """Density matrix from the state JSON schema; any malformed object
-    raises StateError."""
+    """Density matrix from the state JSON schema; any malformed object,
+    including one with a key its form does not take, raises StateError."""
     if not isinstance(obj, dict):
         raise StateError(f"state JSON must be an object, got {type(obj).__name__}")
+    allowed = ("named", "params") if "named" in obj else ("dim", "re", "im")
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise StateError(f"state JSON takes no key {unknown[0]!r}")
     if "named" in obj:
         return _named_state(obj["named"], obj.get("params", {}))
     try:

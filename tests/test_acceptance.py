@@ -13,7 +13,6 @@ from qhsd.interferometry import (
     measure_hsd,
     measure_overlap,
     plan_measurements,
-    singlet_projector,
 )
 from qhsd.states import (
     BellKind,
@@ -165,5 +164,5 @@ def test_criterion_09_clustering_equivalence():
 def test_criterion_10_swap_identity():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    assert np.abs(np.eye(4) - 2.0 * singlet_projector() - swap).max() <= 1e-12
+    assert np.abs(np.eye(4) - 2.0 * make_bell(BellKind.PSI_MINUS).matrix - swap).max() <= 1e-12
     _report("10 swap identity")

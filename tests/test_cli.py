@@ -131,6 +131,39 @@ def test_malformed_state_exit_code(tmp_path, capsys, state):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("state, key", [
+    ({"named": "mixed", "parms": {"dim": 8}}, "parms"),
+    ({"named": "bell", "params": {"kind": "phi+"}, "re": [[1, 0], [0, 0]]}, "re"),
+    ({"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]], "params": {}}, "params"),
+])
+def test_state_json_names_unknown_key(tmp_path, capsys, state, key):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    code, out, err = run(capsys, "distance", str(path), "mixed")
+    assert (code, out) == (2, "")
+    assert err == f"error: state {str(path)!r}: state JSON takes no key {key!r}\n"
+
+
+def test_state_file_may_start_with_utf8_bom(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    state = json.dumps({"named": "bell", "params": {"kind": "psi-"}})
+    path.write_text("\ufeff" + state, encoding="utf-8")
+    code, out, _ = run(capsys, "distance", str(path), "bell:psi-")
+    assert code == 0
+    assert json.loads(out)["d2"] == 0.0
+
+
+def test_points_csv_may_start_with_utf8_bom(tmp_path, capsys):
+    points = "0.1,0,0\n0.12,0.01,0\n-0.1,0,0\n-0.12,0,0.01\n"
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        (tmp_path / f"{name}.csv").write_text(bom + points, encoding="utf-8")
+        code, _, _ = run(capsys, "cluster", str(tmp_path / f"{name}.csv"), "--k", "2",
+                         "--out-dir", str(tmp_path / name))
+        assert code == 0
+    for out in ("labels.csv", "model.json"):
+        assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / "bom" / out).read_bytes()
+
+
 def test_state_file_that_is_not_json_names_the_file(tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_text("x")

@@ -10,10 +10,10 @@ from qhsd.encoding import (
     ENCODE_CACHE_SIZE,
     EncodingError,
     _n_qubits_for_length,
+    check_encodable,
     decode,
     encode,
     generator_basis,
-    min_eigenvalues,
     safe_radius,
 )
 from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mixed, purity
@@ -169,8 +169,6 @@ def test_encode_matches_seed_formula(n):
         expected = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
         # bit for bit, signed zeros included
         assert np.array_equal(encode(u, validate=False).matrix.view(np.uint64), expected.view(np.uint64))
-    expected = np.eye(d) / d + np.einsum("ni,ijk->njk", points, basis.generators)
-    assert np.array_equal(min_eigenvalues(points), np.linalg.eigvalsh(expected)[:, 0])
 
 
 def _seed_encode(u, validate=True):
@@ -214,6 +212,60 @@ def test_encode_memo_matches_seed_formula(pool, order):
                 encode(np.array(u))
         else:
             assert encode(np.array(u)).matrix.tobytes() == expected.tobytes()
+
+
+@st.composite
+def _stacks(draw):
+    """1 to 8 rows of one 1-4 qubit length, inside or outside the state
+    space, some holding NaN or +-inf."""
+    n = draw(st.integers(1, 4))
+    d = 2 ** n
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        u = rng.standard_normal(4 ** n - 1)
+        u *= draw(st.floats(0.0, 1.5)) * np.sqrt((d - 1) / (2 * d)) / np.linalg.norm(u)
+        if draw(st.integers(0, 4)) == 0:
+            u[rng.integers(u.size)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows.append(u)
+    return np.array(rows)
+
+
+def _seed_min_eigenvalue(u):
+    """eigvalsh(I/D + sum u_i G_i)[0] as the seed computed it; NaN for a
+    non-finite u, whose matrix has no eigendecomposition."""
+    if not np.isfinite(u).all():
+        return np.nan
+    basis = generator_basis(_n_qubits_for_length(u.shape[0]))
+    d = 2 ** basis.n_qubits
+    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+    return float(np.linalg.eigvalsh(m)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=_stacks())
+def test_check_encodable_matches_seed_formula(points):
+    lam = [_seed_min_eigenvalue(u) for u in points]
+    bad = [i for i, x in enumerate(lam) if not x >= -1e-9]  # NaN is bad
+    if bad:
+        message = f"point row {bad[0]} encodes outside the state space: min eigenvalue {lam[bad[0]]:.3e}"
+        with pytest.raises(EncodingError) as got:
+            check_encodable(points)
+        assert str(got.value) == message
+    else:
+        check_encodable(points)
+    for i, u in enumerate(points):
+        if i in bad:
+            with pytest.raises(EncodingError, match="^point row 0 encodes outside the state space: "):
+                encode(u)
+        else:
+            encode(u)
+
+
+def test_encode_refuses_nan():
+    for u in ([np.nan, 0.0, 0.0], [0.0] * 14 + [np.nan]):
+        with pytest.raises(EncodingError, match="min eigenvalue nan$"):
+            encode(u)
 
 
 def test_encode_returns_shared_read_only_matrix():

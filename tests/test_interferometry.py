@@ -19,7 +19,6 @@ from qhsd.interferometry import (
     measure_overlap,
     plan_measurements,
     povm_probabilities,
-    singlet_projector,
 )
 from qhsd.states import (
     MAX_QUBITS,
@@ -55,11 +54,12 @@ def joint_state_probabilities(rho1, rho2):
     """Tr(P_c joint) for every configuration c, in binary-counting order
     (photon A is the high bit, 1 = singlet)."""
     joint = arrange_joint_state(rho1, rho2).matrix
+    singlet = make_bell(BellKind.PSI_MINUS).matrix
     probs = []
     for cfg in itertools.product((0, 1), repeat=rho1.n_qubits):
         op = np.ones((1, 1))
         for bit in cfg:
-            op = np.kron(op, singlet_projector() if bit else np.eye(4))
+            op = np.kron(op, singlet if bit else np.eye(4))
         probs.append(np.real(np.trace(op @ joint)))
     return np.array(probs)
 
@@ -80,7 +80,7 @@ def mixed_pairs(draw):
 
 
 def test_singlet_projector_properties():
-    s = singlet_projector()
+    s = make_bell(BellKind.PSI_MINUS).matrix
     assert np.abs(s @ s - s).max() < 1e-14
     assert np.trace(s) == pytest.approx(1.0, abs=1e-14)
     assert np.real(np.trace(s @ (np.eye(4) / 4))) == pytest.approx(0.25, abs=1e-14)
@@ -89,7 +89,7 @@ def test_singlet_projector_properties():
 def test_identity_minus_two_singlets_is_swap():
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    assert np.abs(np.eye(4) - 2 * singlet_projector() - swap).max() < 1e-12
+    assert np.abs(np.eye(4) - 2 * make_bell(BellKind.PSI_MINUS).matrix - swap).max() < 1e-12
 
 
 def test_arrange_joint_state():

@@ -5,7 +5,9 @@ from qhsd import encoding, interferometry, states
 
 # Names the library does not define: tensor, permute_qubits, random_mixed and
 # estimate_overlap are test oracles (tests/oracles.py); CoincidenceCounts
-# became OverlapEstimate.counts; the others had no CLI path.
+# became OverlapEstimate.counts; min_eigenvalues became
+# encoding.check_encodable; singlet_projector is
+# make_bell(BellKind.PSI_MINUS).matrix; the others had no CLI path.
 REMOVED = {
     "CoincidenceCounts",
     "EnsembleSpec",
@@ -14,8 +16,10 @@ REMOVED = {
     "estimate_overlap",
     "hypercube_scale",
     "max_ball_radius",
+    "min_eigenvalues",
     "permute_qubits",
     "random_mixed",
+    "singlet_projector",
     "tensor",
 }
 

@@ -19,6 +19,7 @@ first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -26,6 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from qhsd.states import (
+    MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
@@ -166,6 +168,51 @@ def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
+# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx), uint32 and
+# wrapping: the k-th hashmix of the run is
+#     x = (word ^ h_k) * h_(k+1);  x ^= x >> 16
+# with h_0 = INIT_A and h_(k+1) = h_k * MULT_A, and pool word d takes in a
+# hashed word as mix(pool[d], x) = MIX_L * pool[d] - MIX_R * x, then x ^= x >> 16.
+# Words 0..3 fill the pool and are cross-mixed (16 hashmixes); each word at
+# index L >= 4 after that is mixed into pool[d] alone with hashmix 4L + d.
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = 0x4973F715
+
+
+@lru_cache(maxsize=None)
+def _last_word_terms(n_words: int) -> np.ndarray:
+    """The (2^MAX_QUBITS, 4) uint32 table for L = n_words >= 4 whose row c,
+    column d is MIX_R * hashmix_(4L+d)(c): what SeedSequence subtracts from
+    MIX_L * pool[d] when c is entropy word L."""
+    h = [_INIT_A * _MULT_A ** k % 2 ** 32 for k in range(4 * n_words, 4 * n_words + 5)]
+    terms = np.empty((2 ** MAX_QUBITS, 4), dtype=np.uint32)
+    for c in range(2 ** MAX_QUBITS):
+        for d in range(4):
+            x = (c ^ h[d]) * h[d + 1] % 2 ** 32
+            terms[c, d] = _MIX_R * (x ^ x >> 16) % 2 ** 32
+    terms.setflags(write=False)
+    return terms
+
+
+def _config_pools(words: np.ndarray, n_configs: int) -> np.ndarray:
+    """SeedSequence([*words, c]).pool for c = 0..n_configs-1, as one
+    (n_configs, 4) uint32 stack.  From 4 words on, c is mixed into the pool of
+    `words` alone, so every row comes from that one pool; shorter prefixes
+    put c into the cross-mixing and need a SeedSequence each."""
+    if len(words) >= 4:
+        x = _MIX_L * np.random.SeedSequence(words).pool - _last_word_terms(len(words))[:n_configs]
+        x ^= x >> np.uint32(16)
+        return x
+    words = np.append(words, np.uint32(0))
+    pools = np.empty((n_configs, 4), dtype=np.uint32)
+    for c in range(n_configs):
+        words[-1] = c
+        pools[c] = np.random.SeedSequence(words).pool
+    return pools
+
+
 # numpy's SeedSequence.generate_state hash (numpy/random/bit_generator.pyx):
 # output word i of a 4-word pool is
 #     x = pool[i % 4] ^ h_i;  x *= h_(i+1);  x ^= x >> 16   (uint32, wrapping)
@@ -215,44 +262,45 @@ def _stream(state: np.ndarray) -> np.random.Generator:
 def _draw_counts(
     probs: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> np.ndarray:
-    probs = np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
+    probs = np.minimum(np.maximum(probs, 0.0), 1.0)
     if noise.mode == "exact":
         return noise.shots * probs
-    # configuration i < 2^MAX_QUBITS is the one last word of stream (*stream_key, i)
-    words = _stream_words(noise.seed, (*stream_key, 0))
-    pools = np.empty((len(probs), 4), dtype=np.uint32)
-    for i in range(len(probs)):
-        words[-1] = i
-        pools[i] = np.random.SeedSequence(words).pool
-    counts = np.empty(len(probs))
-    for i, (p, state) in enumerate(zip(probs, _pool_states(pools))):
-        rng = _stream(state)
-        if noise.mode == "binomial":
-            counts[i] = rng.binomial(noise.shots, p)
-        else:
-            counts[i] = rng.poisson(noise.shots * p)
-    return counts
+    # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
+    states = _pool_states(_config_pools(_stream_words(noise.seed, stream_key), len(probs)))
+    shots = noise.shots
+    if noise.mode == "binomial":
+        draws = [_stream(s).binomial(shots, p) for s, p in zip(states, probs.tolist())]
+    else:
+        draws = [_stream(s).poisson(shots * p) for s, p in zip(states, probs.tolist())]
+    return np.array(draws, dtype=float)
 
 
-def _estimate(counts: np.ndarray, noise: NoiseModel) -> OverlapEstimate:
+def _estimate(
+    counts: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
+) -> OverlapEstimate:
     """Overlap and first-order-propagated uncertainty from the coincidence
-    counts of one overlap, counted under `noise`."""
-    f0 = counts[0]
+    counts of one overlap, counted under `noise` on stream `stream_key`."""
+    rates = counts.tolist()
+    f0 = rates[0]
     if f0 <= 0:
-        raise EstimationError("f_II = 0: cannot normalize the overlap estimate")
-    wrest = _config_weights(len(counts).bit_length() - 1)[1:]
+        key = tuple(int(k) for k in stream_key)
+        raise EstimationError(
+            f"f_II = 0 at stream key {key}: cannot normalize the overlap estimate"
+        )
+    wrest = _config_weights(len(rates).bit_length() - 1)[1:]
     acc = float(wrest @ counts[1:])
     value = 1.0 + acc / f0
     err = 0.0
     if noise.mode != "exact":
         if noise.mode == "binomial":
-            phat = np.clip(counts / noise.shots, 0.0, 1.0)
+            # a binomial count lies in 0..shots, so phat needs no clip to [0, 1]
+            phat = counts / noise.shots
             var = noise.shots * phat * (1.0 - phat)
         else:
             var = counts
-        var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
-        err = float(np.sqrt(var_value))
-    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, tuple(counts.tolist()), noise)
+        var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * float(var[0])
+        err = math.sqrt(var_value)
+    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, tuple(rates), noise)
 
 
 def measure_overlap(
@@ -262,7 +310,7 @@ def measure_overlap(
     stream_key: Sequence[int] = (),
 ) -> OverlapEstimate:
     counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
-    return _estimate(counts, noise)
+    return _estimate(counts, noise, stream_key)
 
 
 @dataclass(frozen=True)
@@ -287,9 +335,7 @@ def measure_hsd(
     o22 = measure_overlap(rho2, rho2, noise, (*stream_key, 1))
     o12 = measure_overlap(rho1, rho2, noise, (*stream_key, 2))
     value, d2, clamped = hsd_from_overlaps(o11.value, o22.value, o12.value)
-    d2_err = float(
-        np.sqrt(o11.std_error ** 2 + o22.std_error ** 2 + 4.0 * o12.std_error ** 2)
-    )
+    d2_err = math.sqrt(o11.std_error ** 2 + o22.std_error ** 2 + 4.0 * o12.std_error ** 2)
     return HsdMeasurement(value, d2, d2_err, clamped, (o11, o22, o12))
 
 

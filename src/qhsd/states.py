@@ -185,7 +185,7 @@ def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float,
     d2 = o11 + o22 - 2.0 * o12
     if d2 < 0.0:
         return 0.0, d2, True
-    return float(np.sqrt(d2)), d2, False
+    return math.sqrt(d2), d2, False
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,25 @@ def test_bad_shots_exit_code(tmp_path, capsys, argv, flag, value, bound):
 
 
 def test_estimation_failure_exit_code(capsys):
-    # one shot per configuration under poisson leaves f_II = 0
+    # one shot per configuration under poisson leaves f_II = 0; the stream key
+    # of a single pair is the overlap alone, here O(1,2)
     code, out, err = run(capsys, "distance", "bell:phi+", "bell:phi-", "--mode", "simulated",
                          "--noise", "poisson", "--shots", "1", "--seed", "0")
     assert (code, out) == (3, "")
-    assert err == "error: f_II = 0: cannot normalize the overlap estimate\n"
+    assert err == "error: f_II = 0 at stream key (2,): cannot normalize the overlap estimate\n"
+
+
+def test_cluster_estimation_failure_names_the_kmeans_key(tmp_path, capsys):
+    # k-means stream keys are (iteration, point, centroid, overlap)
+    points = tmp_path / "points.csv"
+    points.write_text("0.1,0.0,0.0\n0.0,0.1,0.0\n0.0,0.0,0.1\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "cluster", str(points), "--k", "2", "--backend", "hsd_simulated",
+                         "--noise", "poisson", "--shots", "1", "--seed", "0",
+                         "--out-dir", str(out_dir))
+    assert (code, out) == (3, "")
+    assert err == "error: f_II = 0 at stream key (0, 0, 0, 2): cannot normalize the overlap estimate\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("noise", NOISE_MODES)

@@ -1,14 +1,16 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhsd.interferometry import (
     NOISE_MODES,
     EstimationError,
     NoiseModel,
+    _config_pools,
     _draw_counts,
     _estimate,
     _pool_states,
@@ -206,6 +208,19 @@ def test_pool_states_match_generate_state(rows):
         assert state.tolist() == ss.generate_state(4, np.uint64).tolist()
 
 
+@settings(max_examples=300, deadline=None)
+@given(_ENTROPY, st.integers(1, MAX_QUBITS))
+@example([1, 2, 3], MAX_QUBITS)  # 3 words: the configuration enters the cross-mixing
+@example([1, 2, 3, 4], MAX_QUBITS)  # 4 words: the first shared-prefix case
+@example([2 ** 40, 5], MAX_QUBITS)  # 3 words from 2 values
+@example([2 ** 40, 2 ** 63], MAX_QUBITS)  # 4 words from 2 values
+def test_config_pools_match_seed_sequence(values, n):
+    pools = _config_pools(_stream_words(values[0], values[1:]), 2 ** n)
+    assert pools.dtype == np.uint32 and pools.shape == (2 ** n, 4)
+    for c, pool in enumerate(pools):
+        assert pool.tolist() == np.random.SeedSequence([*values, c]).pool.tolist()
+
+
 def _stream_of(seed, key):
     words = _stream_words(seed, key)
     return _stream(_pool_states(np.random.SeedSequence(words).pool[None])[0])
@@ -271,7 +286,7 @@ def test_measure_overlap_counts_and_estimate(case):
             draw = rng.binomial(noise.shots, p) if noise.mode == "binomial" else rng.poisson(noise.shots * p)
             expected.append(float(draw))
     if expected[0] <= 0:
-        with pytest.raises(EstimationError):
+        with pytest.raises(EstimationError, match=re.escape(f"at stream key {tuple(key)}:")):
             measure_overlap(a, b, noise, key)
         return
     est = measure_overlap(a, b, noise, key)
@@ -280,6 +295,9 @@ def test_measure_overlap_counts_and_estimate(case):
     assert all(0.0 <= c < np.inf for c in est.counts)
     if noise.mode != "exact":
         assert all(c == int(c) for c in est.counts)
+    if noise.mode == "binomial":
+        # what lets the estimator take counts / shots as a probability unclipped
+        assert all(0 <= c <= noise.shots for c in est.counts)
     value, std_error = estimate_overlap(est.counts, noise.shots, noise.mode)
     assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
     assert est.clamped == (not 0.0 <= value <= 1.0)

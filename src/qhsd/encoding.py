@@ -88,10 +88,13 @@ def _matrices(u: np.ndarray) -> np.ndarray:
     return basis.mixed + np.einsum("...i,ijk->...jk", u, basis.generators)
 
 
-# Encoded matrices kept for recently seen vectors.  k-means encodes every
-# centroid once per point and every point once per centroid, so a handful of
-# entries catches most calls; the bound keeps 16x16 states cheap to hold.
-ENCODE_CACHE_SIZE = 32
+# Encoded matrices kept for recently seen vectors.  k-means encodes each
+# point once per centroid per iteration (twice for k = 2) and each centroid
+# once per point.  A centroid hits after its first encode, but a point's first
+# encode in an iteration hits only if the memo holds the whole point set: this
+# bound holds the 1000-point demo and every iteration's centroids.  Full, it
+# retains about 1 MiB for 1-qubit points, 13 MiB for 4-qubit (16x16) states.
+ENCODE_CACHE_SIZE = 2048
 
 
 def check_encodable(points: np.ndarray) -> None:
@@ -114,9 +117,9 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i.
 
     With validate=True, check_encodable(u[None]) runs first, on every call.
-    A vector with the same float64 bytes as one of the last
-    ENCODE_CACHE_SIZE encoded gets the DensityMatrix built for that one,
-    which is shared and read-only.
+    A vector with the same float64 bytes as one of the last ENCODE_CACHE_SIZE
+    (2048) encoded gets that one's shared, read-only DensityMatrix back, so
+    k-means on up to ~2000 points builds each point's matrix once per run.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:

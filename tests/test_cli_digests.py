@@ -6,6 +6,7 @@ fails here; when such a change is intended, re-record the digests with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
+which lists the probes added, changed or removed against the recorded file,
 and say in the change why they moved.  The digests were recorded with
 numpy 2.4.6, like bench/digests.json.
 """
@@ -57,6 +58,9 @@ def _probes():
     for backend in ("euclidean", "hsd_exact", "hsd_simulated"):
         probes.append(["cluster", "points.csv", "--k", "2", "--backend", backend,
                        "--noise", "binomial", "--shots", "500", "--out-dir", "out"])
+    probes.append(["reproduce", "clusters_demo", "--seed", "0", "--out-dir", "out"])
+    probes.append(["reproduce", "werner_grid", "--noise", "binomial", "--shots", "1000",
+                   "--seed", "0", "--out-dir", "out"])
     return probes
 
 
@@ -102,11 +106,32 @@ def test_cli_output_digests_match_recorded(tmp_path):
     assert changed == []
 
 
+def _moved(old, new):
+    """Lines naming each probe added, changed or removed from old to new."""
+    lines = [f"added: {p}" for p in new if p not in old]
+    lines += [f"changed: {p}" for p in new if p in old and new[p] != old[p]]
+    lines += [f"removed: {p}" for p in old if p not in new]
+    return lines
+
+
+def test_record_mode_names_moved_probes():
+    old = {"a": {"stdout": "1"}, "b": {"stdout": "2"}, "c": {"stdout": "3"}}
+    new = {"b": {"stdout": "2"}, "c": {"stdout": "4"}, "d": {"stdout": "5"}}
+    assert _moved(old, new) == ["added: d", "changed: c", "removed: a"]
+    assert _moved(new, new) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = _record(tmp)
+    old = {}
+    if os.path.exists(DIGESTS):
+        with open(DIGESTS) as fh:
+            old = json.load(fh)
     with open(DIGESTS, "w") as fh:
         fh.write(json.dumps(digests, indent=1) + "\n")
+    for line in _moved(old, digests):
+        print(line, file=sys.stderr)
     print(f"{len(digests)} probes recorded in {DIGESTS}", file=sys.stderr)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qhsd import encoding
 from qhsd.clustering import (
     BACKEND_KINDS,
     EuclideanBackend,
@@ -141,6 +142,15 @@ def test_demo_simulated_label_agreement():
         np.mean(r_euc.labels == r_sim.labels), np.mean(r_euc.labels == 1 - r_sim.labels)
     )
     assert agree >= 0.99
+
+
+def test_encode_memo_holds_the_demo_point_set():
+    # Each point misses once per run and each iteration's centroids once,
+    # not each point once per iteration.
+    points = two_gaussian_demo(1000, seed=0)
+    encoding._encode_bytes.cache_clear()
+    result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
+    assert encoding._encode_bytes.cache_info().misses <= 1000 + 2 * result.iterations
 
 
 def test_two_gaussian_demo_properties():

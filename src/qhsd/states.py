@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -107,20 +107,6 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-def pure_state(vector: Sequence[complex]) -> DensityMatrix:
-    """|v><v| of the normalized v; v must be a finite, nonzero vector whose
-    length is a power of two in 2..2^MAX_QUBITS."""
-    v = np.asarray(vector, dtype=complex)
-    if v.ndim != 1:
-        raise StateError(f"expected a state vector, got shape {v.shape}")
-    _check_qubit_dim(v.shape[0])
-    scale = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # norm(v / scale) cannot over- or underflow
-    if not 0.0 < scale < math.inf:
-        raise StateError(f"state vector norm {scale} is not finite and positive")
-    v = v / scale
-    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
-
-
 def make_bell(kind: BellKind | str) -> DensityMatrix:
     """Rank-1 projector onto a Bell state, given as a BellKind or its value."""
     try:
@@ -161,10 +147,20 @@ def check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
         raise StateError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _real_trace(m: np.ndarray) -> float:
+    """m.trace().real, bit for bit.  At 2x2 the two diagonal real parts are
+    added onto 0.0, as numpy's complex add-reduce does (so -0.0 + -0.0 reads
+    +0.0), without its ~2 us dispatch.  From 4x4 on numpy sums pairwise,
+    not left to right, so larger matrices keep ndarray.trace."""
+    if m.shape[0] == 2:
+        return 0.0 + m.item(0, 0).real + m.item(1, 1).real
+    return m.trace().real
+
+
 def overlap_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """First-order overlap Tr(a b)."""
     check_same_dim(a, b)
-    return float(np.real(np.trace(a.matrix @ b.matrix)))
+    return float(_real_trace(a.matrix @ b.matrix))
 
 
 def purity(a: DensityMatrix) -> float:
@@ -176,7 +172,7 @@ def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2])."""
     check_same_dim(a, b)
     d = a.matrix - b.matrix
-    return math.sqrt(max(0.0, (d @ d).trace().real))
+    return math.sqrt(max(0.0, _real_trace(d @ d)))
 
 
 def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float, bool]:

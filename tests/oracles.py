@@ -1,16 +1,18 @@
 """Reference constructions that the tests check the library against.
 
 The library never forms the joint state of two copies; these build it
-explicitly (tensor product, then qubit relabelling), and draw random mixed
-states for property checks.  The overlap estimator is kept as first written,
-on a plain sequence of rates with the mode and shots passed separately.
+explicitly (tensor product, then qubit relabelling), build pure states from
+state vectors, and draw random mixed states for property checks.  The
+overlap estimator is kept as first written, on a plain sequence of rates
+with the mode and shots passed separately.
 """
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from qhsd.states import DensityMatrix, StateError
+from qhsd.states import DensityMatrix, StateError, _check_qubit_dim
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -28,6 +30,20 @@ def permute_qubits(a: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     t = a.matrix.reshape((2,) * (2 * n))
     t = t.transpose(order + [n + o for o in order])
     return DensityMatrix(t.reshape(a.dim, a.dim))
+
+
+def pure_state(vector: Sequence[complex]) -> DensityMatrix:
+    """|v><v| of the normalized v; v must be a finite, nonzero vector whose
+    length is a power of two in 2..2^MAX_QUBITS."""
+    v = np.asarray(vector, dtype=complex)
+    if v.ndim != 1:
+        raise StateError(f"expected a state vector, got shape {v.shape}")
+    _check_qubit_dim(v.shape[0])
+    scale = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # norm(v / scale) cannot over- or underflow
+    if not 0.0 < scale < math.inf:
+        raise StateError(f"state vector norm {scale} is not finite and positive")
+    v = v / scale
+    return DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
 
 
 def random_mixed(dim: int, rng: np.random.Generator) -> DensityMatrix:

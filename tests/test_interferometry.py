@@ -33,10 +33,9 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
-    pure_state,
 )
 
-from oracles import estimate_overlap, permute_qubits, random_mixed, tensor
+from oracles import estimate_overlap, permute_qubits, pure_state, random_mixed, tensor
 
 
 # Reference for the configuration probabilities: the joint state of the two

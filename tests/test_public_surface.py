@@ -3,9 +3,9 @@ import pytest
 import qhsd
 from qhsd import encoding, interferometry, states
 
-# Names the library does not define: tensor, permute_qubits, random_mixed and
-# estimate_overlap are test oracles (tests/oracles.py); CoincidenceCounts
-# became OverlapEstimate.counts; min_eigenvalues became
+# Names the library does not define: tensor, permute_qubits, pure_state,
+# random_mixed and estimate_overlap are test oracles (tests/oracles.py);
+# CoincidenceCounts became OverlapEstimate.counts; min_eigenvalues became
 # encoding.check_encodable; singlet_projector is
 # make_bell(BellKind.PSI_MINUS).matrix; the others had no CLI path.
 REMOVED = {
@@ -18,6 +18,7 @@ REMOVED = {
     "max_ball_radius",
     "min_eigenvalues",
     "permute_qubits",
+    "pure_state",
     "random_mixed",
     "singlet_projector",
     "tensor",

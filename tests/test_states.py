@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from qhsd.clustering import ExactHsdBackend, kmeans, two_gaussian_demo
 from qhsd.encoding import encode
 from qhsd.states import (
     MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
+    _real_trace,
     hsd_exact,
     hsd_from_overlaps,
     make_bell,
@@ -15,12 +17,11 @@ from qhsd.states import (
     make_werner,
     maximally_mixed,
     overlap_exact,
-    pure_state,
     purity,
     state_from_json,
 )
 
-from oracles import permute_qubits, random_mixed, tensor
+from oracles import permute_qubits, pure_state, random_mixed, tensor
 
 
 def test_bell_phi_plus_entries():
@@ -122,14 +123,62 @@ def _seed_hsd_exact(a, b):
     return float(np.sqrt(max(0.0, np.real(np.trace(d @ d)))))
 
 
-def test_hsd_exact_matches_seed_formula():
+def _seed_overlap_exact(a, b):
+    return float(np.real(np.trace(a.matrix @ b.matrix)))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _seed_formula_pairs():
     rng = np.random.default_rng(11)
     pairs = [(random_mixed(dim, rng), random_mixed(dim, rng)) for dim in (2, 4, 8, 16) * 25]
     pairs += [(make_werner(p), make_werner(q)) for p in (0.0, 0.3, 1.0) for q in (0.0, 0.3, 1.0)]
     for u, v in rng.uniform(-0.3, 0.3, (100, 2, 15)):
         pairs.append((encode(u, validate=False), encode(v, validate=False)))
-    for a, b in pairs:
-        assert hsd_exact(a, b) == _seed_hsd_exact(a, b)
+    # 1-qubit pairs as k-means sees them: demo points against every centroid
+    # of an exact run, and each point against itself (a zero difference).
+    points = two_gaussian_demo(200, seed=0)
+    result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
+    states = [encode(u, validate=False) for u in points]
+    centroids = [encode(c, validate=False) for cs in result.centroid_trace for c in cs]
+    pairs += [(a, c) for a in states for c in centroids]
+    pairs += [(a, a) for a in states]
+    return pairs
+
+
+def test_hsd_exact_matches_seed_formula():
+    for a, b in _seed_formula_pairs():
+        assert _bits(hsd_exact(a, b)) == _bits(_seed_hsd_exact(a, b))
+
+
+def test_overlap_exact_matches_seed_formula():
+    for a, b in _seed_formula_pairs():
+        assert _bits(overlap_exact(a, b)) == _bits(_seed_overlap_exact(a, b))
+
+
+def test_overlap_exact_of_negative_zeros_is_positive_zero():
+    zeros = DensityMatrix(np.full((2, 2), -0.0 - 0.0j))
+    assert _bits(overlap_exact(DensityMatrix(np.eye(2, dtype=complex)), zeros)) == _bits(0.0)
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.1, -0.1, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+def test_exact_traces_keep_their_bits_on_edge_diagonals():
+    eye = DensityMatrix(np.eye(2, dtype=complex))
+    with np.errstate(all="ignore"):
+        for x in EDGE_VALUES:
+            for y in EDGE_VALUES:
+                for dim in (2, 4):
+                    m = np.zeros((dim, dim), dtype=complex)
+                    m[0, 0], m[-1, -1] = x, y
+                    assert _bits(_real_trace(m)) == _bits(m.trace().real)
+                a = DensityMatrix(np.diag([x, y]).astype(complex))
+                for b in (eye, a):
+                    assert _bits(overlap_exact(b, a)) == _bits(_seed_overlap_exact(b, a))
+                    assert _bits(hsd_exact(b, a)) == _bits(_seed_hsd_exact(b, a))
 
 
 def test_hsd_metric_properties():

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_n_qubits
+from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_n_qubits, maximally_mixed
 
 
 class EncodingError(ValueError):
@@ -32,23 +31,13 @@ _PAULI = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """The D^2 - 1 traceless Hermitian generators, in a fixed order."""
-
-    n_qubits: int
-    labels: Tuple[str, ...]
-    generators: np.ndarray  # shape (D^2 - 1, D, D), read-only
-    mixed: np.ndarray  # I/D, complex, read-only
-
-
 @lru_cache(maxsize=None)
-def generator_basis(n_qubits: int) -> GeneratorBasis:
-    """Pauli strings over n qubits (identity string excluded), lexicographic
-    in the letters I < X < Y < Z, scaled by 1/sqrt(2^(n-1))."""
+def generator_basis(n_qubits: int) -> np.ndarray:
+    """The read-only (D^2 - 1, D, D) stack of Pauli strings over n qubits
+    (identity string excluded), lexicographic in the letters I < X < Y < Z,
+    scaled by 1/sqrt(2^(n-1))."""
     check_n_qubits(n_qubits)
     scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
-    labels = []
     mats = []
     for letters in itertools.product("IXYZ", repeat=n_qubits):
         if all(c == "I" for c in letters):
@@ -56,14 +45,10 @@ def generator_basis(n_qubits: int) -> GeneratorBasis:
         g = np.array([[1.0 + 0j]])
         for c in letters:
             g = np.kron(g, _PAULI[c])
-        labels.append("".join(letters))
         mats.append(scale * g)
     stack = np.array(mats)
     stack.setflags(write=False)
-    d = 2 ** n_qubits
-    mixed = np.eye(d, dtype=complex) / d
-    mixed.setflags(write=False)
-    return GeneratorBasis(n_qubits, tuple(labels), stack, mixed)
+    return stack
 
 
 @lru_cache(maxsize=None)
@@ -84,8 +69,8 @@ def safe_radius(dim: int) -> float:
 
 def _matrices(u: np.ndarray) -> np.ndarray:
     """I/D + sum_i u_i G_i for a vector u, or for every row of a stack."""
-    basis = generator_basis(_n_qubits_for_length(u.shape[-1]))
-    return basis.mixed + np.einsum("...i,ijk->...jk", u, basis.generators)
+    n = _n_qubits_for_length(u.shape[-1])
+    return maximally_mixed(2 ** n).matrix + np.einsum("...i,ijk->...jk", u, generator_basis(n))
 
 
 # Encoded matrices kept for recently seen vectors.  k-means encodes each
@@ -136,6 +121,5 @@ def _encode_bytes(data: bytes) -> DensityMatrix:
 
 def decode(rho: DensityMatrix) -> np.ndarray:
     """Inverse of encode: u_i = Tr(rho G_i) / 2."""
-    basis = generator_basis(rho.n_qubits)
-    return np.real(np.einsum("jk,ikj->i", rho.matrix, basis.generators)) / 2.0
+    return np.real(np.einsum("jk,ikj->i", rho.matrix, generator_basis(rho.n_qubits))) / 2.0
 

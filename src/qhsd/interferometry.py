@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -156,9 +157,11 @@ def _config_weights(n: int) -> np.ndarray:
 
 def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
     """The uint32 words SeedSequence makes of [seed, *key]: each value split
-    into little-endian 32-bit words, at least one per value."""
+    into little-endian 32-bit words, at least one per value.  A value that is
+    not an integer raises TypeError, as in numpy's default_rng([seed, *key]),
+    rather than alias the integer it would truncate to."""
     words = []
-    for value in (int(seed), *[int(k) for k in key]):
+    for value in map(operator.index, (seed, *key)):
         if value < 0:
             raise ValueError(f"stream key entries must be non-negative, got {value}")
         words.append(value & 0xFFFFFFFF)

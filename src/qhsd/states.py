@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -101,8 +102,11 @@ class DensityMatrix:
         return d.bit_length() - 1
 
 
+@lru_cache(maxsize=None)
 def maximally_mixed(dim: int) -> DensityMatrix:
-    """I/dim; dim must be a power of two in 2..2^MAX_QUBITS."""
+    """I/dim; dim must be a power of two in 2..2^MAX_QUBITS.  Cached, so
+    repeated calls share one read-only state; an invalid dim raises before
+    anything is cached."""
     _check_qubit_dim(dim)
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
@@ -130,7 +134,7 @@ def make_werner(p: float) -> DensityMatrix:
     """p |Phi+><Phi+| + (1-p) I/4; positive for -1/3 <= p <= 1."""
     if not (-1.0 / 3.0 - 1e-12 <= p <= 1.0 + 1e-12):
         raise StateError(f"werner weight p={p} outside [-1/3, 1]")
-    m = p * make_bell(BellKind.PHI_PLUS).matrix + (1.0 - p) * np.eye(4) / 4.0
+    m = p * make_bell(BellKind.PHI_PLUS).matrix + (1.0 - p) * maximally_mixed(4).matrix
     return DensityMatrix(m)
 
 

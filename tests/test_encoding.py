@@ -20,12 +20,18 @@ from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mi
 
 from oracles import random_mixed
 
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generator_gram_matrix(n):
-    basis = generator_basis(n)
-    assert len(basis.generators) == 4 ** n - 1
-    g = basis.generators
+    g = generator_basis(n)
+    assert len(g) == 4 ** n - 1
     gram = np.real(np.einsum("ijk,lkj->il", g, g))
     assert np.abs(gram - 2.0 * np.eye(len(g))).max() < 1e-12
     for mat in g:
@@ -33,20 +39,34 @@ def test_generator_gram_matrix(n):
         assert np.abs(mat - mat.conj().T).max() < 1e-12
 
 
+def _pauli_labels(n):
+    """The Pauli strings of generator_basis(n), in its order."""
+    return ["".join(s) for s in itertools.product("IXYZ", repeat=n)][1:]
+
+
 def test_generator_count_and_ordering():
-    basis = generator_basis(2)
-    assert basis.labels[:4] == ("IX", "IY", "IZ", "XI")
-    assert basis.labels[-1] == "ZZ"
+    labels = _pauli_labels(2)
+    assert labels[:4] == ["IX", "IY", "IZ", "XI"]
+    assert labels[-1] == "ZZ"
+    for n in (1, 2, 3, 4):
+        # each generator is its label's Paulis, kron-ed in order, times 1/sqrt(2^(n-1))
+        g = generator_basis(n)
+        assert len(g) == len(_pauli_labels(n))
+        for mat, label in zip(g, _pauli_labels(n)):
+            expected = np.array([[1.0]])
+            for c in label:
+                expected = np.kron(expected, PAULI[c])
+            assert np.abs(mat - expected / np.sqrt(2.0 ** (n - 1))).max() < 1e-15
     for n in (0, 5):
         with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
             generator_basis(n)
 
 
 def test_single_qubit_basis_is_pauli():
-    basis = generator_basis(1)
+    g = generator_basis(1)
     sx = np.array([[0, 1], [1, 0]])
-    assert np.abs(basis.generators[0] - sx).max() < 1e-14
-    assert np.real(np.trace(basis.generators[0] @ basis.generators[0])) == pytest.approx(2.0)
+    assert np.abs(g[0] - sx).max() < 1e-14
+    assert np.real(np.trace(g[0] @ g[0])) == pytest.approx(2.0)
 
 
 def test_encode_origin_and_surface():
@@ -56,10 +76,16 @@ def test_encode_origin_and_surface():
     assert np.abs(plus.matrix - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_encode_origin_is_maximally_mixed_bit_for_bit(n):
+    origin = encode(np.zeros(4 ** n - 1), validate=False)
+    assert origin.matrix.tobytes() == maximally_mixed(2 ** n).matrix.tobytes()
+
+
 def test_decode_bell_components():
     u = decode(make_bell(BellKind.PHI_PLUS))
-    basis = generator_basis(2)
-    nonzero = {basis.labels[i]: u[i] for i in range(15) if abs(u[i]) > 1e-12}
+    labels = _pauli_labels(2)
+    nonzero = {labels[i]: u[i] for i in range(15) if abs(u[i]) > 1e-12}
     r = 1 / np.sqrt(8)
     assert nonzero == pytest.approx({"XX": r, "YY": -r, "ZZ": r}, abs=1e-12)
     assert np.linalg.norm(u) == pytest.approx(np.sqrt(3 / 8), abs=1e-12)
@@ -133,8 +159,7 @@ def test_all_hypercube_corners_encode_psd():
     # [-1, 1]^15 scaled uniformly into the safe ball: its corners touch the sphere
     s = safe_radius(4) / np.sqrt(15)
     corners = np.array(list(itertools.product((-1.0, 1.0), repeat=15))) * s
-    basis = generator_basis(2)
-    mats = np.eye(4) / 4 + np.einsum("ci,ijk->cjk", corners, basis.generators)
+    mats = np.eye(4) / 4 + np.einsum("ci,ijk->cjk", corners, generator_basis(2))
     eigs = np.linalg.eigvalsh(mats)
     assert eigs[:, 0].min() >= -1e-12
 
@@ -160,13 +185,13 @@ def test_n_qubits_for_length_matches_seed_formula():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encode_matches_seed_formula(n):
     rng = np.random.default_rng(n)
-    basis = generator_basis(n)
-    d = 2 ** basis.n_qubits
-    points = rng.uniform(-0.2, 0.2, (20, len(basis.generators)))
+    g = generator_basis(n)
+    d = 2 ** n
+    points = rng.uniform(-0.2, 0.2, (20, len(g)))
     points[0] = 0.0
     points[1, ::2] = -0.0
     for u in points:
-        expected = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+        expected = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, g)
         # bit for bit, signed zeros included
         assert np.array_equal(encode(u, validate=False).matrix.view(np.uint64), expected.view(np.uint64))
 
@@ -174,9 +199,9 @@ def test_encode_matches_seed_formula(n):
 def _seed_encode(u, validate=True):
     """encode as it was before the memo: no cache, every call computed."""
     u = np.asarray(u, dtype=float)
-    basis = generator_basis(_n_qubits_for_length(u.shape[0]))
-    d = 2 ** basis.n_qubits
-    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+    n = _n_qubits_for_length(u.shape[0])
+    d = 2 ** n
+    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, generator_basis(n))
     if validate and np.linalg.eigvalsh(m)[0] < -1e-9:
         raise EncodingError("vector encodes outside the state space")
     return m
@@ -236,9 +261,9 @@ def _seed_min_eigenvalue(u):
     non-finite u, whose matrix has no eigendecomposition."""
     if not np.isfinite(u).all():
         return np.nan
-    basis = generator_basis(_n_qubits_for_length(u.shape[0]))
-    d = 2 ** basis.n_qubits
-    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, basis.generators)
+    n = _n_qubits_for_length(u.shape[0])
+    d = 2 ** n
+    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, generator_basis(n))
     return float(np.linalg.eigvalsh(m)[0])
 
 

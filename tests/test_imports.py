@@ -1,4 +1,6 @@
-"""Every name a module in src/ or tests/ imports is used in that module."""
+"""Every name a module in src/ or tests/ imports is used in that module, and
+every private top-level name src/ defines is read in src/: a helper that only
+tests call belongs in tests/oracles.py."""
 
 import ast
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SOURCES, *(ROOT / "tests").rglob("*.py")])
 
 
 def unused_imports(source: str):
@@ -43,3 +46,53 @@ def test_scan_finds_unused_and_keeps_reexports():
         "numpy.linalg.norm(d)\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+def unread_private_names(sources):
+    """(module, name) of each private top-level name (`_x`, not dunder) that
+    a module of `sources` ({module: source}) defines and none reads.  A read
+    loads the bare name or an attribute of that name (`mod._x`); importing it
+    is not one."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [
+                (module, n) for n in names
+                if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_private_names_are_read_in_src():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unread_private_names(sources) == []
+
+
+def test_private_scan_finds_names_no_module_reads():
+    sources = {
+        "a.py": (
+            "__version__ = '1'\n"
+            "_READ = 1\n"
+            "_only_tests = 2\n"
+            "_imported: int = 3\n"
+            "def _helper():\n"
+            "    return _READ\n"
+            "class _Attr:\n"
+            "    pass\n"
+        ),
+        "b.py": "import a\nfrom a import _imported\na._helper()\nprint(a._Attr)\n",
+    }
+    assert unread_private_names(sources) == [("a.py", "_only_tests"), ("a.py", "_imported")]

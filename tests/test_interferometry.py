@@ -312,6 +312,18 @@ def test_stream_rng_rejects_negative_key():
         _stream_words(-1, ())
 
 
+def test_stream_key_entries_must_be_integers():
+    # int() would read these as the keys (1, 2), (0, 2), (1, 2) and (1, 2)
+    a, b = make_werner(0.2), make_werner(0.7)
+    noise = NoiseModel("binomial", 1000, 5)
+    for key in [(1.5, 2), (-0.5, 2), "12", (np.float64(1.0), 2)]:
+        with pytest.raises(TypeError):
+            measure_overlap(a, b, noise, key)
+    for key in [(1, 2), (0, 2 ** 40)]:
+        numpy_key = tuple(np.int64(k) for k in key)
+        assert measure_overlap(a, b, noise, numpy_key) == measure_overlap(a, b, noise, key)
+
+
 def test_povm_functional_qubit_range():
     for n in (0, MAX_QUBITS + 1):
         with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
@@ -351,12 +363,17 @@ def test_estimate_overlap_refuses_unknown_mode():
     ("seed", False),
     ("seed", None),
     ("seed", -1),
+    ("shots", 0),
+    ("shots", 2 ** 53 + 1),
 ])
 def test_noise_model_requires_integer_shots_and_seed(field, value):
-    rule = {("seed", -1): "must be >= 0, got -1", ("shots", -3): "must be >= 1, got -3"}.get(
-        (field, value), "must be an integer"
-    )
-    with pytest.raises(StateError, match=f"^{field} {rule}"):
+    rule = {
+        ("seed", -1): "must be >= 0, got -1",
+        ("shots", -3): "must be >= 1, got -3",
+        ("shots", 0): "must be >= 1, got 0",
+        ("shots", 2 ** 53 + 1): "must be <= 2^53, got 9007199254740993",
+    }.get((field, value), "must be an integer")
+    with pytest.raises(StateError, match=f"^{field} {re.escape(rule)}"):
         NoiseModel(**{"mode": "binomial", "shots": 1000, "seed": 1, field: value})
 
 
@@ -371,13 +388,6 @@ def test_noise_model_accepts_numpy_integers():
     assert measure_hsd(a, b, numpy_ints) == measure_hsd(a, b, NoiseModel("binomial", 1000, 7))
     with pytest.raises(StateError, match="shots must be >= 1, got 0"):
         NoiseModel("binomial", np.int32(0), 7)
-
-
-@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0), 2 ** 53 + 1])
-def test_coincidence_counts_refuse_bad_shots(shots):
-    # NoiseModel is the one owner of the shots rule on the count path
-    with pytest.raises(StateError, match="^shots must be"):
-        NoiseModel("binomial", shots, 0)
 
 
 @pytest.mark.parametrize("mode", NOISE_MODES)

@@ -7,10 +7,13 @@ from qhsd import encoding, interferometry, states
 # random_mixed and estimate_overlap are test oracles (tests/oracles.py);
 # CoincidenceCounts became OverlapEstimate.counts; min_eigenvalues became
 # encoding.check_encodable; singlet_projector is
-# make_bell(BellKind.PSI_MINUS).matrix; the others had no CLI path.
+# make_bell(BellKind.PSI_MINUS).matrix; GeneratorBasis became the stack that
+# generator_basis returns, with I/D from maximally_mixed; the others had no
+# CLI path.
 REMOVED = {
     "CoincidenceCounts",
     "EnsembleSpec",
+    "GeneratorBasis",
     "ensemble_measure",
     "embed_hypercube",
     "estimate_overlap",

@@ -390,6 +390,13 @@ def test_noise_model_accepts_numpy_integers():
         NoiseModel("binomial", np.int32(0), 7)
 
 
+@pytest.mark.parametrize("shots", [0, -3, 2.5, True, "10", None, np.float64(10.0), 2 ** 53 + 1])
+def test_coincidence_counts_refuse_bad_shots(shots):
+    # NoiseModel is the one owner of the shots rule on the count path
+    with pytest.raises(StateError, match="^shots must be"):
+        NoiseModel("binomial", shots, 0)
+
+
 @pytest.mark.parametrize("mode", NOISE_MODES)
 def test_shots_are_bounded_by_two_to_the_53(mode):
     # float64 counts hold integers exactly only up to 2^53

@@ -31,12 +31,15 @@ _PAULI = {
 }
 
 
-@lru_cache(maxsize=None)
 def generator_basis(n_qubits: int) -> np.ndarray:
     """The read-only (D^2 - 1, D, D) stack of Pauli strings over n qubits
     (identity string excluded), lexicographic in the letters I < X < Y < Z,
-    scaled by 1/sqrt(2^(n-1))."""
-    check_n_qubits(n_qubits)
+    scaled by 1/sqrt(2^(n-1)).  Cached per integer n, checked first."""
+    return _generator_basis(check_n_qubits(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _generator_basis(n_qubits: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
     mats = []
     for letters in itertools.product("IXYZ", repeat=n_qubits):

@@ -186,57 +186,43 @@ _MIX_R = 0x4973F715
 
 @lru_cache(maxsize=None)
 def _last_word_terms(n_words: int) -> np.ndarray:
-    """The (2^MAX_QUBITS, 4) uint32 table for L = n_words >= 4 whose row c,
-    column d is MIX_R * hashmix_(4L+d)(c): what SeedSequence subtracts from
-    MIX_L * pool[d] when c is entropy word L."""
-    h = [_INIT_A * _MULT_A ** k % 2 ** 32 for k in range(4 * n_words, 4 * n_words + 5)]
-    terms = np.empty((2 ** MAX_QUBITS, 4), dtype=np.uint32)
-    for c in range(2 ** MAX_QUBITS):
-        for d in range(4):
-            x = (c ^ h[d]) * h[d + 1] % 2 ** 32
-            terms[c, d] = _MIX_R * (x ^ x >> 16) % 2 ** 32
+    """The (2^MAX_QUBITS, 8) uint32 table for L = n_words >= 4 whose row c,
+    column d + 4j is MIX_R * hashmix_(4L+d)(c): what SeedSequence subtracts
+    from MIX_L * pool[d] when c is entropy word L, once per hash read."""
+    k = range(4 * n_words, 4 * n_words + 5)
+    h = np.array([_INIT_A * _MULT_A ** i % 2 ** 32 for i in k], dtype=np.uint32)
+    x = (np.arange(2 ** MAX_QUBITS, dtype=np.uint32)[:, None] ^ h[:4]) * h[1:]
+    terms = np.tile(_MIX_R * (x ^ x >> 16), 2)
     terms.setflags(write=False)
     return terms
-
-
-def _config_pools(words: np.ndarray, n_configs: int) -> np.ndarray:
-    """SeedSequence([*words, c]).pool for c = 0..n_configs-1, as one
-    (n_configs, 4) uint32 stack.  From 4 words on, c is mixed into the pool of
-    `words` alone, so every row comes from that one pool; shorter prefixes
-    put c into the cross-mixing and need a SeedSequence each."""
-    if len(words) >= 4:
-        x = _MIX_L * np.random.SeedSequence(words).pool - _last_word_terms(len(words))[:n_configs]
-        x ^= x >> np.uint32(16)
-        return x
-    words = np.append(words, np.uint32(0))
-    pools = np.empty((n_configs, 4), dtype=np.uint32)
-    for c in range(n_configs):
-        words[-1] = c
-        pools[c] = np.random.SeedSequence(words).pool
-    return pools
 
 
 # numpy's SeedSequence.generate_state hash (numpy/random/bit_generator.pyx):
 # output word i of a 4-word pool is
 #     x = pool[i % 4] ^ h_i;  x *= h_(i+1);  x ^= x >> 16   (uint32, wrapping)
 # with h_0 = INIT_B and h_(i+1) = h_i * MULT_B.  PCG64 asks for 4 uint64, that
-# is 8 such words read as little-endian pairs.  Both constants are arranged
-# (2, 4), so that row h, column j is word 4h + j, which hashes pool[j].
+# is 8 such words read as little-endian pairs, so the pool is read twice.
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _HASH_H = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], dtype=np.uint32)
-_HASH_XOR = _HASH_H[:8].reshape(2, 4)
-_HASH_MULT = _HASH_H[1:].reshape(2, 4)
+_HASH_XOR, _HASH_MULT = _HASH_H[:8], _HASH_H[1:]
+_HASHED_POOL_WORD = np.arange(8) % 4
 
 
-def _pool_states(pools: np.ndarray) -> np.ndarray:
-    """SeedSequence.generate_state(4, np.uint64) of every row of an (L, 4)
-    uint32 stack of SeedSequence pools, as one (L, 4) uint64 array."""
-    x = np.bitwise_xor(pools[:, None, :], _HASH_XOR)
-    np.multiply(x, _HASH_MULT, out=x)
-    np.bitwise_xor(x, x >> np.uint32(16), out=x)
-    x = x.reshape(len(pools), 8).astype("<u4", copy=False)
-    return x.view("<u8").astype(np.uint64, copy=False)
+def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
+    """SeedSequence([*words, c]).generate_state(4, np.uint64) for c below
+    n_configs, as one (n_configs, 4) uint64 array.  From 4 words on, c enters
+    the pool of `words` alone, so one SeedSequence serves every c."""
+    if len(words) >= 4:
+        pool = np.random.SeedSequence(words).pool[_HASHED_POOL_WORD]
+        x = _MIX_L * pool - _last_word_terms(len(words))[:n_configs]
+        x ^= x >> 16
+    else:  # c enters the cross-mixing of the first four words: one SeedSequence each
+        x = np.tile([np.random.SeedSequence([*words, c]).pool for c in range(n_configs)], 2)
+    x ^= _HASH_XOR
+    x *= _HASH_MULT
+    x ^= x >> 16
+    return x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -257,24 +243,19 @@ def _hashed_seed_type() -> type:
     return HashedSeed
 
 
-def _stream(state: np.ndarray) -> np.random.Generator:
-    """The stream of one row of `_pool_states`."""
-    return np.random.Generator(np.random.PCG64(_hashed_seed_type()(state)))
-
-
 def _draw_counts(
     probs: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> np.ndarray:
-    probs = np.minimum(np.maximum(probs, 0.0), 1.0)
     if noise.mode == "exact":
-        return noise.shots * probs
+        return noise.shots * np.minimum(np.maximum(probs, 0.0), 1.0)
     # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
-    states = _pool_states(_config_pools(_stream_words(noise.seed, stream_key), len(probs)))
-    shots = noise.shots
-    if noise.mode == "binomial":
-        draws = [_stream(s).binomial(shots, p) for s, p in zip(states, probs.tolist())]
-    else:
-        draws = [_stream(s).poisson(shots * p) for s, p in zip(states, probs.tolist())]
+    states = _stream_states(_stream_words(noise.seed, stream_key), len(probs))
+    seed_type, shots, binomial = _hashed_seed_type(), noise.shots, noise.mode == "binomial"
+    draws = []
+    for state, p in zip(states, probs.tolist()):
+        p = min(max(p, 0.0), 1.0)  # as np.minimum(np.maximum(...)), -0.0 and NaN included
+        rng = np.random.Generator(np.random.PCG64(seed_type(state)))
+        draws.append(rng.binomial(shots, p) if binomial else rng.poisson(shots * p))
     return np.array(draws, dtype=float)
 
 
@@ -295,13 +276,14 @@ def _estimate(
     value = 1.0 + acc / f0
     err = 0.0
     if noise.mode != "exact":
+        # elementwise terms on Python floats, with the IEEE operations numpy
+        # would do: squares as x * x, since Python's ** goes through libm pow
+        var = rates  # a Poisson count's variance is its mean
         if noise.mode == "binomial":
-            # a binomial count lies in 0..shots, so phat needs no clip to [0, 1]
-            phat = counts / noise.shots
-            var = noise.shots * phat * (1.0 - phat)
-        else:
-            var = counts
-        var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * float(var[0])
+            # a binomial count lies in 0..shots, so c / shots needs no clip to [0, 1]
+            var = [noise.shots * (c / noise.shots) * (1.0 - c / noise.shots) for c in rates]
+        sq = [(w / f0) * (w / f0) for w in wrest.tolist()]
+        var_value = float(np.dot(sq, var[1:])) + (acc / f0 ** 2) ** 2 * var[0]
         err = math.sqrt(var_value)
     return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, tuple(rates), noise)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -44,9 +45,18 @@ _BELL_VECTORS = {
 }
 
 
-def check_n_qubits(n: int) -> None:
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StateError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_n_qubits(n: int) -> int:
+    n = _integer(n, "n_qubits")
     if not 1 <= n <= MAX_QUBITS:
         raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
+    return n
 
 
 def _check_qubit_dim(d: int) -> None:
@@ -102,12 +112,17 @@ class DensityMatrix:
         return d.bit_length() - 1
 
 
-@lru_cache(maxsize=None)
 def maximally_mixed(dim: int) -> DensityMatrix:
-    """I/dim; dim must be a power of two in 2..2^MAX_QUBITS.  Cached, so
-    repeated calls share one read-only state; an invalid dim raises before
-    anything is cached."""
+    """I/dim; dim must be an integer power of two in 2..2^MAX_QUBITS.  Cached
+    per value, so repeated calls share one read-only state (a numpy integer
+    gets the Python int's); an invalid dim raises before anything is cached."""
+    dim = _integer(dim, "dim")
     _check_qubit_dim(dim)
+    return _maximally_mixed(dim)
+
+
+@lru_cache(maxsize=None)
+def _maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 

@@ -62,6 +62,19 @@ def test_generator_count_and_ordering():
             generator_basis(n)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_generator_basis_refuses_non_integer_sizes(warm):
+    # the size is taken as an integer before the cache, so a float is refused
+    # whatever the cache holds, and a numpy integer shares the int's entry
+    encoding._generator_basis.cache_clear()
+    if warm:
+        assert generator_basis(np.int64(2)) is generator_basis(2)
+    for n in (2.0, np.float64(2.0), 1.5, "2"):
+        with pytest.raises(StateError, match="^n_qubits must be an integer, got "):
+            generator_basis(n)
+    assert generator_basis(np.int64(2)) is generator_basis(2)
+
+
 def test_single_qubit_basis_is_pauli():
     g = generator_basis(1)
     sx = np.array([[0, 1], [1, 0]])

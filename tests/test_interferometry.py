@@ -10,12 +10,10 @@ from qhsd.interferometry import (
     NOISE_MODES,
     EstimationError,
     NoiseModel,
-    _config_pools,
     _draw_counts,
     _estimate,
-    _pool_states,
     _povm_functional,
-    _stream,
+    _stream_states,
     _stream_words,
     measure_hsd,
     measure_overlap,
@@ -197,40 +195,18 @@ _ENTROPY = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_ENTROPY, min_size=1, max_size=16))
-def test_pool_states_match_generate_state(rows):
-    seqs = [np.random.SeedSequence(row) for row in rows]
-    states = _pool_states(np.stack([ss.pool for ss in seqs]))
-    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
-    for ss, state in zip(seqs, states):
-        assert state.tolist() == ss.generate_state(4, np.uint64).tolist()
-
-
 @settings(max_examples=300, deadline=None)
 @given(_ENTROPY, st.integers(1, MAX_QUBITS))
 @example([1, 2, 3], MAX_QUBITS)  # 3 words: the configuration enters the cross-mixing
 @example([1, 2, 3, 4], MAX_QUBITS)  # 4 words: the first shared-prefix case
 @example([2 ** 40, 5], MAX_QUBITS)  # 3 words from 2 values
 @example([2 ** 40, 2 ** 63], MAX_QUBITS)  # 4 words from 2 values
-def test_config_pools_match_seed_sequence(values, n):
-    pools = _config_pools(_stream_words(values[0], values[1:]), 2 ** n)
-    assert pools.dtype == np.uint32 and pools.shape == (2 ** n, 4)
-    for c, pool in enumerate(pools):
-        assert pool.tolist() == np.random.SeedSequence([*values, c]).pool.tolist()
-
-
-def _stream_of(seed, key):
-    words = _stream_words(seed, key)
-    return _stream(_pool_states(np.random.SeedSequence(words).pool[None])[0])
-
-
-@settings(max_examples=200, deadline=None)
-@given(_SEEDS, _KEYS, st.integers(1, 10 ** 6), st.floats(0.0, 1.0), st.floats(0.0, 1e4))
-def test_stream_rng_matches_default_rng(seed, key, shots, p, lam):
-    rng, oracle = _stream_of(seed, key), _seed_stream_rng(seed, key)
-    assert rng.binomial(shots, p, size=3).tolist() == oracle.binomial(shots, p, size=3).tolist()
-    assert rng.poisson(lam, size=3).tolist() == oracle.poisson(lam, size=3).tolist()
+def test_stream_states_match_seed_sequence(values, n):
+    states = _stream_states(_stream_words(values[0], values[1:]), 2 ** n)
+    assert states.dtype == np.uint64 and states.shape == (2 ** n, 4)
+    for c, state in enumerate(states):
+        expected = np.random.SeedSequence([*values, c]).generate_state(4, np.uint64)
+        assert state.tolist() == expected.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,6 +314,35 @@ def test_estimate_overlap_arithmetic():
     assert quiet.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EstimationError):
         _estimate(np.array([0.0, 1.0, 1.0, 1.0]), NoiseModel("binomial", 10, 0))
+
+
+def _exact_counts(n, seed):
+    """Unrounded expected counts of an n-qubit pair of random mixed states."""
+    rng = np.random.default_rng(seed)
+    probs = povm_probabilities(random_mixed(2 ** n, rng), random_mixed(2 ** n, rng))
+    return (1000 * np.clip(probs, 0.0, 1.0)).tolist()
+
+
+@pytest.mark.parametrize("counts, mode, shots", [
+    ([1000.0, 1000.0, 3.0, 0.0], "binomial", 1000),  # a count equal to shots
+    ([1000.0, 17.0, 1000.0, 1000.0], "binomial", 1000),
+    ([640.0, 0.0, 0.0, 0.0], "binomial", 1000),  # every non-II count 0
+    ([2.0 ** 53, 2.0 ** 52, 12345.0, 1.0], "binomial", 2 ** 53),
+    ([2.0 ** 53 - 1, 2.0 ** 53, 0.0, 2.0 ** 50 + 3], "binomial", 2 ** 53),
+    # squaring w / f_II with Python's ** (libm pow) would change these std_errors
+    ([2947.0, 81.0], "binomial", 100_000),
+    ([5377.0, 4860.0, 1093.0, 2700.0], "binomial", 100_000),
+    ([1012.0, 1003.0, 20.0, 0.0], "poisson", 1000),  # Poisson counts may pass shots
+    ([3.0, 1.0, 0.0, 2.0, 5.0, 1.0, 0.0, 1.0], "poisson", 2),
+    ([1.0, 0.0], "poisson", 1),
+    (_exact_counts(3, 0), "exact", 1000),
+    (_exact_counts(4, 1), "exact", 1000),
+])
+def test_estimate_edge_cases_match_oracle(counts, mode, shots):
+    est = _estimate(np.array(counts), NoiseModel(mode, shots, 0))
+    value, std_error = estimate_overlap(counts, shots, mode)
+    assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
+    assert est.counts == tuple(counts)
 
 
 def test_estimate_overlap_refuses_unknown_mode():

@@ -8,6 +8,7 @@ from qhsd.states import (
     BellKind,
     DensityMatrix,
     StateError,
+    _maximally_mixed,
     _real_trace,
     hsd_exact,
     hsd_from_overlaps,
@@ -287,6 +288,19 @@ def test_invalid_matrices_rejected():
             maximally_mixed(dim)
     with pytest.raises(StateError):
         DensityMatrix.from_array(np.eye(32) / 32)  # more than MAX_QUBITS qubits
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_maximally_mixed_refuses_non_integer_sizes(warm):
+    # the size is taken as an integer before the cache, so a float is refused
+    # whatever the cache holds, and a numpy integer shares the int's entry
+    _maximally_mixed.cache_clear()
+    if warm:
+        assert maximally_mixed(np.int64(4)) is maximally_mixed(4)
+    for dim in (4.0, np.float64(4.0), 2.5, "4"):
+        with pytest.raises(StateError, match="^dim must be an integer, got "):
+            maximally_mixed(dim)
+    assert maximally_mixed(np.int64(4)) is maximally_mixed(4)
 
 
 def test_state_json_round_trip():

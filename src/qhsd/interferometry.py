@@ -209,20 +209,26 @@ _HASH_XOR, _HASH_MULT = _HASH_H[:8], _HASH_H[1:]
 _HASHED_POOL_WORD = np.arange(8) % 4
 
 
-def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
-    """SeedSequence([*words, c]).generate_state(4, np.uint64) for c below
-    n_configs, as one (n_configs, 4) uint64 array.  From 4 words on, c enters
-    the pool of `words` alone, so one SeedSequence serves every c."""
-    if len(words) >= 4:
-        pool = np.random.SeedSequence(words).pool[_HASHED_POOL_WORD]
-        x = _MIX_L * pool - _last_word_terms(len(words))[:n_configs]
-        x ^= x >> 16
-    else:  # c enters the cross-mixing of the first four words: one SeedSequence each
-        x = np.tile([np.random.SeedSequence([*words, c]).pool for c in range(n_configs)], 2)
+def _pool_states(x: np.ndarray) -> np.ndarray:
+    """generate_state(4, np.uint64) of each row of an (n, 8) uint32 stack of
+    4-word pools, each read twice: the hash above, in place."""
     x ^= _HASH_XOR
     x *= _HASH_MULT
     x ^= x >> 16
     return x.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
+    """SeedSequence([*words, c]).generate_state(4, np.uint64) for c below
+    n_configs, as one (n_configs, 4) uint64 array.  From 4 words on, c enters
+    the pool of `words` alone, so one SeedSequence serves every c."""
+    if len(words) < 4:  # c enters the cross-mixing of the first four words: one SeedSequence each
+        pools = [np.random.SeedSequence([*words, c]).pool for c in range(n_configs)]
+        return _pool_states(np.tile(pools, 2))
+    pool = np.random.SeedSequence(words).pool[_HASHED_POOL_WORD]
+    x = _MIX_L * pool - _last_word_terms(len(words))[:n_configs]
+    x ^= x >> 16
+    return _pool_states(x)
 
 
 @lru_cache(maxsize=None)
@@ -289,10 +295,7 @@ def _estimate(
 
 
 def measure_overlap(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    noise: NoiseModel,
-    stream_key: Sequence[int] = (),
+    rho1: DensityMatrix, rho2: DensityMatrix, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
     counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
     return _estimate(counts, noise, stream_key)
@@ -310,10 +313,7 @@ class HsdMeasurement:
 
 
 def measure_hsd(
-    rho1: DensityMatrix,
-    rho2: DensityMatrix,
-    noise: NoiseModel,
-    stream_key: Sequence[int] = (),
+    rho1: DensityMatrix, rho2: DensityMatrix, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> HsdMeasurement:
     """Measure O(1,1), O(2,2), O(1,2) and combine them into the distance."""
     o11 = measure_overlap(rho1, rho1, noise, (*stream_key, 0))

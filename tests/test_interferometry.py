@@ -11,7 +11,10 @@ from qhsd.interferometry import (
     EstimationError,
     NoiseModel,
     _draw_counts,
+    _MIX_L,
     _estimate,
+    _last_word_terms,
+    _pool_states,
     _povm_functional,
     _stream_states,
     _stream_words,
@@ -193,6 +196,37 @@ _ENTROPY = st.lists(
     min_size=1,
     max_size=8,
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTROPY, min_size=1, max_size=16))
+def test_pool_states_match_generate_state(rows):
+    seqs = [np.random.SeedSequence(row) for row in rows]
+    states = _pool_states(np.tile([ss.pool for ss in seqs], 2))
+    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+    for ss, state in zip(seqs, states):
+        assert state.tolist() == ss.generate_state(4, np.uint64).tolist()
+
+
+def _n_words(values):
+    return len(_stream_words(values[0], values[1:]))
+
+
+# From 4 words on, configuration c's pool is xorshift(MIX_L * pool - T_L[c])
+# of the prefix's pool, T_L the table of the last word's hashed terms.
+@settings(max_examples=300, deadline=None)
+@given(_ENTROPY.filter(lambda values: _n_words(values) >= 4), st.integers(1, MAX_QUBITS))
+@example([1, 2, 3, 4], MAX_QUBITS)  # 4 words: the first shared-prefix case
+@example([2 ** 40, 2 ** 63], MAX_QUBITS)  # 4 words from 2 values
+@example([2 ** 63] * 8, MAX_QUBITS)  # 16 words, the longest prefix drawn
+def test_config_pools_match_seed_sequence(values, n):
+    terms = _last_word_terms(_n_words(values))
+    assert terms.dtype == np.uint32 and terms.shape == (2 ** MAX_QUBITS, 8)
+    assert terms[:, 4:].tolist() == terms[:, :4].tolist()  # the hash reads the pool twice
+    prefix = np.random.SeedSequence(_stream_words(values[0], values[1:])).pool
+    for c in range(2 ** n):
+        x = _MIX_L * prefix - terms[c, :4]
+        assert (x ^ x >> 16).tolist() == np.random.SeedSequence([*values, c]).pool.tolist()
 
 
 @settings(max_examples=300, deadline=None)

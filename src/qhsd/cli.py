@@ -184,11 +184,11 @@ def _read_points_csv(path: str) -> np.ndarray:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Header, then rows.  A number cell goes in as float(x), which csv writes
+    with repr; a numpy float would print as np.float64(...)."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
+        cells = ([float(x) if isinstance(x, (int, float, np.floating)) else x for x in row] for row in rows)
+        csv.writer(fh).writerows([header, *cells])
 
 
 def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_dir: str) -> None:
@@ -236,7 +236,7 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
     path = os.path.join(args.out_dir, target)
     if target == "clusters_demo":
         points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
-        _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points)
+        _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points.tolist())
         _cluster(points, clustering.ExactHsdBackend(), 2, args.seed, 100, args.out_dir)
     elif target in ("bell_table", "separable_table"):
         if target == "bell_table":

@@ -144,7 +144,7 @@ def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
     check_same_dim(rho1, rho2)
     k = _povm_functional(rho1.n_qubits)
-    return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
+    return np.real((k @ rho2.matrix.ravel()).dot(rho1.matrix.ravel()))
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +278,7 @@ def _estimate(
             f"f_II = 0 at stream key {key}: cannot normalize the overlap estimate"
         )
     wrest = _config_weights(len(rates).bit_length() - 1)[1:]
-    acc = float(wrest @ counts[1:])
+    acc = float(wrest.dot(counts[1:]))
     value = 1.0 + acc / f0
     err = 0.0
     if noise.mode != "exact":

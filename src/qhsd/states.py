@@ -47,9 +47,11 @@ _BELL_VECTORS = {
 
 def _integer(value, name: str) -> int:
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):  # operator.index would read a bool as 0 or 1
+            return operator.index(value)
     except TypeError:
-        raise StateError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise StateError(f"{name} must be an integer, got {value!r}")
 
 
 def check_n_qubits(n: int) -> int:
@@ -139,10 +141,8 @@ def make_separable(bits: str) -> DensityMatrix:
     """Computational-basis projector |b1 b2><b1 b2| for a two-bit string."""
     if bits not in ("00", "01", "10", "11"):
         raise StateError(f"invalid two-bit string {bits!r}")
-    idx = int(bits, 2)
-    m = np.zeros((4, 4), dtype=complex)
-    m[idx, idx] = 1.0
-    return DensityMatrix(m)
+    e = np.eye(4, dtype=complex)[int(bits, 2)]
+    return DensityMatrix(np.outer(e, e))
 
 
 def make_werner(p: float) -> DensityMatrix:
@@ -162,7 +162,7 @@ def make_horodecki(q: float) -> DensityMatrix:
 
 
 def check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
-    if a.dim != b.dim:
+    if a.matrix.shape[0] != b.matrix.shape[0]:
         raise StateError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
@@ -179,7 +179,7 @@ def _real_trace(m: np.ndarray) -> float:
 def overlap_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """First-order overlap Tr(a b)."""
     check_same_dim(a, b)
-    return float(_real_trace(a.matrix @ b.matrix))
+    return float(_real_trace(a.matrix.dot(b.matrix)))
 
 
 def purity(a: DensityMatrix) -> float:
@@ -191,7 +191,7 @@ def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2])."""
     check_same_dim(a, b)
     d = a.matrix - b.matrix
-    return math.sqrt(max(0.0, _real_trace(d @ d)))
+    return math.sqrt(max(0.0, _real_trace(d.dot(d))))
 
 
 def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float, bool]:

@@ -4,14 +4,20 @@ The library never forms the joint state of two copies; these build it
 explicitly (tensor product, then qubit relabelling), build pure states from
 state vectors, and draw random mixed states for property checks.  The
 overlap estimator is kept as first written, on a plain sequence of rates
-with the mode and shots passed separately.
+with the mode and shots passed separately.  The exact overlap, the HSD and
+the POVM probabilities are kept with every product written as `@`, and the
+CSV writer with its per-cell `repr` formatting, as the library had them
+before it took its small products through `ndarray.dot` and its CSV rows
+through one `writerows`.
 """
 
+import csv
 import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from qhsd.interferometry import _povm_functional
 from qhsd.states import DensityMatrix, StateError, _check_qubit_dim
 
 
@@ -73,3 +79,30 @@ def estimate_overlap(rates: Sequence[float], shots: int, mode: str) -> Tuple[flo
         var_value = float((wrest / f0) ** 2 @ var[1:]) + (acc / f0 ** 2) ** 2 * var[0]
         err = float(np.sqrt(var_value))
     return value, err
+
+
+def overlap_exact(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Tr(a b) from the `@` product and ndarray.trace."""
+    return float((a.matrix @ b.matrix).trace().real)
+
+
+def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
+    """sqrt(max(0, Tr[(a - b)^2])) from the `@` product and ndarray.trace."""
+    d = a.matrix - b.matrix
+    return math.sqrt(max(0.0, (d @ d).trace().real))
+
+
+def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """vec(rho1) . K[c] . vec(rho2) for every configuration c, both products `@`."""
+    k = _povm_functional(rho1.dim.bit_length() - 1)
+    return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
+
+
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Header, then one writerow per row, every int/float/numpy-float cell
+    formatted as repr(float(x)) before csv sees it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])

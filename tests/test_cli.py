@@ -16,6 +16,8 @@ from qhsd import cli, states
 from qhsd.clustering import BACKEND_KINDS
 from qhsd.interferometry import NOISE_MODES, NoiseModel, measure_hsd
 
+from oracles import write_csv
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -568,14 +570,6 @@ def test_reproduce_byte_identical(tmp_path, capsys):
 # and per grid, as the command had before all four shared one pair loop, kept
 # as an oracle for the output bytes.
 
-def _oracle_write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
-
-
 def _oracle_state_table(names, factory, noise, out_dir, stem):
     mats = [factory(n) for n in names]
     rows = []
@@ -585,7 +579,7 @@ def _oracle_state_table(names, factory, noise, out_dir, stem):
             o11, o22, o12 = states.purity(a), states.purity(b), states.overlap_exact(a, b)
             row.append(o11 + o22 - 2.0 * o12)
         rows.append(row)
-    _oracle_write_csv(os.path.join(out_dir, f"{stem}.csv"), [""] + names, rows)
+    write_csv(os.path.join(out_dir, f"{stem}.csv"), [""] + names, rows)
     if noise.mode != "exact":
         sim_rows = []
         for i, a in enumerate(mats):
@@ -593,7 +587,7 @@ def _oracle_state_table(names, factory, noise, out_dir, stem):
             for j, b in enumerate(mats):
                 row.append(measure_hsd(a, b, noise, (i, j)).d2)
             sim_rows.append(row)
-        _oracle_write_csv(os.path.join(out_dir, f"{stem}_simulated.csv"), [""] + names, sim_rows)
+        write_csv(os.path.join(out_dir, f"{stem}_simulated.csv"), [""] + names, sim_rows)
 
 
 def _oracle_grid(target, noise, out_dir):
@@ -614,7 +608,7 @@ def _oracle_grid(target, noise, out_dir):
             if stochastic:
                 row.append(measure_hsd(a, b, noise, (i, j)).d2)
             rows.append(row)
-    _oracle_write_csv(os.path.join(out_dir, f"{target}.csv"), header, rows)
+    write_csv(os.path.join(out_dir, f"{target}.csv"), header, rows)
 
 
 _ORACLES = {
@@ -641,3 +635,29 @@ def test_reproduce_grids_match_seed_loops(tmp_path, capsys, target, noise):
     assert len(written) == (1 if noise == "exact" or target.endswith("_grid") else 2)
     for name in written:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+
+# Rows that _write_csv and the per-cell repr formatter it replaced must write
+# to the same bytes: Python ints and bools, numpy integers and floats, signed
+# zero, non-finite and subnormal floats, and string cells (the state tables'
+# header starts with an empty cell), as ndarray-derived rows and as tuples.
+_SPECIAL = np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 5e-324], [1e308, -2.5, 0.0]])
+_CSV_CASES = {
+    "tolist": (["x1", "x2", "x3"], _SPECIAL.tolist()),
+    "ndarray": (["x1", "x2", "x3"], _SPECIAL),
+    "ndarray_rows": (["x1", "x2", "x3"], list(_SPECIAL)),
+    "float32": (["x1", "x2", "x3"], _SPECIAL[:1].astype(np.float32)),
+    "labels": (["index", "label"], [(i, int(l)) for i, l in enumerate(np.array([1, 0, 1]))]),
+    "ints_bools": (["a", "b", "c"], [(0, True, False), (np.int64(-3), np.int64(7), -0), (2 ** 60, 1, 0)]),
+    "numpy_floats": (["a", "b"], [(np.float64(-0.0), np.float64(np.nan)), (np.float64(0.1), np.float64(5e-324))]),
+    "bell_table": ([""] + cli.BELL_ORDER, [["phi+", 0.0, 2.0], ["phi-", np.float64(2.0), -0.0]]),
+    "strings": (["s", "t"], [("a,b", ""), ('say "hi"', "nan"), ("", float("inf"))]),
+}
+
+
+@pytest.mark.parametrize("case", list(_CSV_CASES))
+def test_write_csv_matches_per_cell_repr_formatter(tmp_path, case):
+    header, rows = _CSV_CASES[case]
+    cli._write_csv(str(tmp_path / "cli.csv"), header, rows)
+    write_csv(str(tmp_path / "oracle.csv"), header, rows)
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import (
     NOISE_MODES,
     EstimationError,
@@ -310,6 +313,58 @@ def test_measure_overlap_counts_and_estimate(case):
     value, std_error = estimate_overlap(est.counts, noise.shots, noise.mode)
     assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
     assert est.clamped == (not 0.0 <= value <= 1.0)
+
+
+@st.composite
+def product_cases(draw):
+    """Two 1-4 qubit states, each random mixed, pure with some amplitudes
+    exactly zero, diagonal with -0.0 everywhere off the diagonal, or the
+    encoding of a vector with some components 0.0 or -0.0, optionally in
+    Fortran order; shots, a seed and a stream key for the counts."""
+    dim = 2 ** draw(st.integers(1, MAX_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pair = []
+    for kind in draw(st.lists(st.sampled_from(["mixed", "pure", "diagonal", "encoded"]), min_size=2, max_size=2)):
+        if kind == "mixed":
+            m = random_mixed(dim, rng).matrix
+        elif kind == "pure":
+            v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * (rng.random(dim) < 0.6)
+            v[0] += not v.any()
+            m = pure_state(v).matrix
+        elif kind == "diagonal":
+            m = np.full((dim, dim), complex(-0.0, -0.0))
+            np.fill_diagonal(m, rng.dirichlet(np.ones(dim)))
+        else:
+            u = rng.uniform(-1.0, 1.0, dim * dim - 1) * safe_radius(dim) / math.sqrt(dim * dim - 1)
+            u[rng.random(u.size) < 0.4] = 0.0
+            u[rng.random(u.size) < 0.3] = -0.0
+            m = encode(u).matrix
+        pair.append(DensityMatrix(np.asfortranarray(m) if draw(st.booleans()) else m))
+    return (*pair, draw(st.sampled_from([1, 7, 1000, 100_000, 2 ** 53])), draw(_SEEDS), draw(_KEYS))
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases())
+def test_dot_products_match_matmul_oracles_bit_for_bit(case):
+    # hsd_exact, overlap_exact, povm_probabilities and the estimator form their
+    # small products with ndarray.dot; the oracles form them with @
+    a, b, shots, seed, key = case
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _hex(hsd_exact(x, y)) == _hex(oracles.hsd_exact(x, y))
+        assert _hex(overlap_exact(x, y)) == _hex(oracles.overlap_exact(x, y))
+        probs = povm_probabilities(x, y)
+        assert _hex(probs) == _hex(oracles.povm_probabilities(x, y))
+        for mode in NOISE_MODES:
+            noise = NoiseModel(mode, shots, seed)
+            counts = _draw_counts(probs, noise, key)
+            if counts[0] > 0:
+                est = _estimate(counts, noise, key)
+                value, std_error = estimate_overlap(counts.tolist(), shots, mode)
+                assert _hex([est.value, est.std_error]) == _hex([value, std_error])
 
 
 def test_stream_rng_rejects_negative_key():

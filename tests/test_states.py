@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qhsd import encoding
 from qhsd.clustering import ExactHsdBackend, kmeans, two_gaussian_demo
-from qhsd.encoding import encode
+from qhsd.encoding import encode, generator_basis
+from qhsd.interferometry import plan_measurements
 from qhsd.states import (
     MAX_QUBITS,
     BellKind,
@@ -10,6 +12,7 @@ from qhsd.states import (
     StateError,
     _maximally_mixed,
     _real_trace,
+    check_n_qubits,
     hsd_exact,
     hsd_from_overlaps,
     make_bell,
@@ -301,6 +304,30 @@ def test_maximally_mixed_refuses_non_integer_sizes(warm):
         with pytest.raises(StateError, match="^dim must be an integer, got "):
             maximally_mixed(dim)
     assert maximally_mixed(np.int64(4)) is maximally_mixed(4)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("flag", [True, False])
+def test_sizes_refuse_bools(warm, flag):
+    # operator.index reads a bool as 0 or 1, and True hashes as the cache key 1;
+    # every size check refuses a bool before any cache is consulted
+    _maximally_mixed.cache_clear()
+    encoding._generator_basis.cache_clear()
+    if warm:
+        assert generator_basis(np.int64(1)) is generator_basis(1)
+        assert maximally_mixed(np.int64(2)) is maximally_mixed(2)
+    checks = [
+        (check_n_qubits, "n_qubits"),
+        (generator_basis, "n_qubits"),
+        (lambda n: plan_measurements(n, "overlap"), "n_qubits"),
+        (maximally_mixed, "dim"),
+    ]
+    for call, name in checks:
+        with pytest.raises(StateError, match=f"^{name} must be an integer, got {flag}$"):
+            call(flag)
+    assert generator_basis(np.int64(1)) is generator_basis(1)
+    assert maximally_mixed(np.int64(2)) is maximally_mixed(2)
+    assert plan_measurements(np.int64(1), "overlap") == 6
 
 
 def test_state_json_round_trip():

@@ -14,6 +14,8 @@ two copies; in general each rate carries the weight (-2)^(number of S).
 Every rate is a fixed linear functional of rho1 (x) rho2, so the 2^n
 probabilities of a pair come from one tensor K per qubit count, built on
 first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
+A self-overlap's probabilities depend on its one state, so they are computed
+once per live state and dropped with it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -147,6 +150,20 @@ def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     return np.real((k @ rho2.matrix.ravel()).dot(rho1.matrix.ravel()))
 
 
+# povm_probabilities(rho, rho) of each live state, read-only; an entry lives
+# as long as its state, so the dictionary needs no size bound.
+_SELF_PROBABILITIES = weakref.WeakKeyDictionary()
+
+
+def _self_probabilities(rho: DensityMatrix) -> np.ndarray:
+    probs = _SELF_PROBABILITIES.get(rho)
+    if probs is None:
+        probs = povm_probabilities(rho, rho)
+        probs.setflags(write=False)
+        _SELF_PROBABILITIES[rho] = probs
+    return probs
+
+
 @lru_cache(maxsize=None)
 def _config_weights(n: int) -> np.ndarray:
     """Estimator weights (-2)^(number of singlet projections)."""
@@ -260,6 +277,9 @@ def _draw_counts(
     draws = []
     for state, p in zip(states, probs.tolist()):
         p = min(max(p, 0.0), 1.0)  # as np.minimum(np.maximum(...)), -0.0 and NaN included
+        if p == 0.0 or (binomial and p == 1.0):
+            draws.append(shots if p else 0)  # what its stream would draw; an int is never -0.0
+            continue
         rng = np.random.Generator(np.random.PCG64(seed_type(state)))
         draws.append(rng.binomial(shots, p) if binomial else rng.poisson(shots * p))
     return np.array(draws, dtype=float)
@@ -297,7 +317,8 @@ def _estimate(
 def measure_overlap(
     rho1: DensityMatrix, rho2: DensityMatrix, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
-    counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
+    probs = _self_probabilities(rho1) if rho1 is rho2 else povm_probabilities(rho1, rho2)
+    counts = _draw_counts(probs, noise, stream_key)
     return _estimate(counts, noise, stream_key)
 
 

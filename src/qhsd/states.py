@@ -83,11 +83,12 @@ def _validate_matrix(m: np.ndarray) -> None:
         raise StateError(f"not positive semidefinite: min eigenvalue {lam:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite complex matrix.
 
     Immutable once constructed; the wrapped array is made read-only.
+    Equality and hashing go by identity, so a state can key a dictionary.
     """
 
     matrix: np.ndarray

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import (
+    _SELF_PROBABILITIES,
     NOISE_MODES,
     EstimationError,
     NoiseModel,
@@ -264,6 +267,33 @@ def test_draw_counts_match_per_config_streams(seed, key, mode, n, shots):
     assert _draw_counts(probs, noise, key).tolist() == expected
 
 
+# Clipped probabilities whose count is certain (0.0, -0.0, and 1.0 under
+# binomial) draw no stream; the near-certain ones next to them are drawn.
+_CERTAIN_PROBS = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, 0.5, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("mode", ["binomial", "poisson"])
+@pytest.mark.parametrize("seed, key", [(0, ()), (7, (3,)), (2 ** 40, (0, 5, 9)), (1, (2 ** 33, 2 ** 40, 4))])
+@pytest.mark.parametrize("shots", [1, 1000, 2 ** 53])
+def test_certain_counts_match_per_config_streams(mode, seed, key, shots):
+    noise = NoiseModel(mode, shots, seed)
+    for probs in (_CERTAIN_PROBS, _CERTAIN_PROBS[::-1], _CERTAIN_PROBS[1:3]):
+        expected = []
+        for i, p in enumerate(probs):
+            rng = _seed_stream_rng(seed, (*key, i))
+            expected.append(float(rng.binomial(shots, p) if mode == "binomial" else rng.poisson(shots * p)))
+        counts = _draw_counts(np.array(probs), noise, key).tolist()
+        assert _hex(counts) == _hex(expected)
+        assert all(math.copysign(1.0, c) == 1.0 for c in counts)  # never -0.0
+
+
+@pytest.mark.parametrize("mode", ["binomial", "poisson"])
+def test_nan_probability_still_raises(mode):
+    for probs in ([0.0, np.nan], [1.0, np.nan, 0.0, 1.0], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="NaN"):
+            _draw_counts(np.array(probs), NoiseModel(mode, 1000, 0), (1, 2))
+
+
 @st.composite
 def overlap_cases(draw):
     """Two random 1-4 qubit states, each mixed (A A^dag / Tr) or pure, a noise
@@ -313,6 +343,51 @@ def test_measure_overlap_counts_and_estimate(case):
     value, std_error = estimate_overlap(est.counts, noise.shots, noise.mode)
     assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
     assert est.clamped == (not 0.0 <= value <= 1.0)
+
+
+def _overlap_outcome(rho, noise, key):
+    """Every bit of measure_overlap(rho, rho, ...), or its EstimationError."""
+    try:
+        est = measure_overlap(rho, rho, noise, key)
+    except EstimationError as exc:
+        return str(exc)
+    return _hex([est.value, est.std_error, *est.counts]), est.clamped, est.noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlap_cases())
+def test_self_overlap_probabilities_are_kept_per_state(case):
+    # a state's self-overlap probabilities are computed on its first
+    # self-overlap and reused after it; a fresh state with the same matrix
+    # misses the dictionary, and every outcome agrees bit for bit
+    a, _, noise, key = case
+    first = _overlap_outcome(a, noise, key)
+    assert a in _SELF_PROBABILITIES
+    assert _overlap_outcome(a, noise, key) == first
+    assert _overlap_outcome(DensityMatrix(a.matrix), noise, key) == first
+    assert _hex(_SELF_PROBABILITIES[a]) == _hex(povm_probabilities(a, a))
+
+
+def test_self_overlap_probabilities_are_read_only_and_private():
+    rho = random_mixed(4, np.random.default_rng(3))
+    measure_overlap(rho, rho, NoiseModel("binomial", 1000, 0))
+    cached = _SELF_PROBABILITIES[rho]
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 0.5
+    fresh = povm_probabilities(rho, rho)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, cached)
+    fresh[0] = 0.5  # the caller's copy; the dictionary keeps its own
+    assert _hex(cached) == _hex(povm_probabilities(rho, rho))
+
+
+def test_self_overlap_probabilities_go_with_their_state():
+    rho = random_mixed(8, np.random.default_rng(4))
+    measure_overlap(rho, rho, NoiseModel("exact", 1000, 0))
+    state, probs = weakref.ref(rho), weakref.ref(_SELF_PROBABILITIES[rho])
+    del rho
+    gc.collect()
+    assert state() is None and probs() is None
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,15 @@ def test_sizes_refuse_bools(warm, flag):
     assert generator_basis(np.int64(1)) is generator_basis(1)
     assert maximally_mixed(np.int64(2)) is maximally_mixed(2)
     assert plan_measurements(np.int64(1), "overlap") == 6
+
+
+def test_states_compare_and_hash_by_identity():
+    # equal matrices, distinct states: == neither raises nor compares arrays
+    a, b = make_werner(0.3), make_werner(0.3)
+    assert a != b and not a == b
+    assert a == a and hash(a) == hash(a)
+    assert {a: 1, b: 2}[a] == 1
+    assert weakref.ref(a)() is a
 
 
 def test_state_json_round_trip():

@@ -55,7 +55,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
         else:
             obj = _inline_json(spec)
         return states.state_from_json(obj)
-    except ValueError as exc:  # an OSError is an I/O failure, not a bad state
+    except (ValueError, RecursionError) as exc:  # an OSError is an I/O failure, not a bad state
         raise StateError(f"state {spec!r}: {exc}") from None
 
 
@@ -165,15 +165,18 @@ def _read_points_csv(path: str) -> np.ndarray:
     rows: List[List[float]] = []
     seen = False
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for raw in csv.reader(fh):
-            if not raw:
-                continue
-            cells = [_parse_cell(x) for x in raw]
-            if None not in cells:
-                rows.append(cells)
-            elif seen or any(c is not None for c in cells):
-                raise StateError(f"non-numeric row in {path}: {raw}")
-            seen = True
+        try:
+            for raw in csv.reader(fh):
+                if not raw:
+                    continue
+                cells = [_parse_cell(x) for x in raw]
+                if None not in cells:
+                    rows.append(cells)
+                elif seen or any(c is not None for c in cells):
+                    raise StateError(f"non-numeric row in {path}: {raw}")
+                seen = True
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise StateError(f"unreadable CSV {path}: {exc}") from None
     if not rows:
         raise StateError(f"no numeric rows in {path}")
     width = len(rows[0])

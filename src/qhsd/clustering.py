@@ -17,7 +17,7 @@ import numpy as np
 
 from qhsd.encoding import check_encodable, encode
 from qhsd.interferometry import NoiseModel, measure_hsd
-from qhsd.states import StateError, hsd_exact
+from qhsd.states import StateError, check_integer, hsd_exact
 
 BACKEND_KINDS = ("euclidean", "hsd_exact", "hsd_simulated")
 
@@ -127,9 +127,9 @@ def kmeans(
     validating) encoding.check_encodable raises EncodingError for a row
     that encodes outside the state space; rows count from 0."""
     points = np.asarray(points, dtype=float)
-    if k < 1:
+    if check_integer(k, "k") < 1:
         raise StateError(f"k must be >= 1, got {k}")
-    if max_iter < 1:
+    if check_integer(max_iter, "max_iter") < 1:
         raise StateError("max_iter must be >= 1")
     if backend is None:
         backend = EuclideanBackend()

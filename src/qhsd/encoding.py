@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_n_qubits, maximally_mixed
+from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_integer, check_n_qubits, maximally_mixed
 
 
 class EncodingError(ValueError):
@@ -65,7 +65,7 @@ def _n_qubits_for_length(length: int) -> int:
 def safe_radius(dim: int) -> float:
     """Inner radius 1/sqrt(2 D (D-1)); every vector inside encodes to a
     positive-semidefinite matrix regardless of direction."""
-    if dim < 2:
+    if check_integer(dim, "dim") < 2:
         raise StateError(f"dim={dim} must be >= 2")
     return float(1.0 / np.sqrt(2.0 * dim * (dim - 1)))
 

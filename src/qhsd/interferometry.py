@@ -35,6 +35,7 @@ from qhsd.states import (
     BellKind,
     DensityMatrix,
     StateError,
+    check_integer,
     check_n_qubits,
     check_same_dim,
     hsd_from_overlaps,
@@ -67,15 +68,11 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise StateError(f"unknown noise mode {self.mode!r}")
-        if isinstance(self.shots, bool) or not isinstance(self.shots, (int, np.integer)):
-            raise StateError(f"shots must be an integer, got {self.shots!r}")
-        if self.shots < 1:
+        if check_integer(self.shots, "shots") < 1:
             raise StateError(f"shots must be >= 1, got {self.shots}")
         if self.shots > MAX_SHOTS:
             raise StateError(f"shots must be <= 2^53, got {self.shots}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise StateError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
+        if check_integer(self.seed, "seed") < 0:
             raise StateError(f"seed must be >= 0, got {self.seed}")
 
 

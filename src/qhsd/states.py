@@ -45,7 +45,7 @@ _BELL_VECTORS = {
 }
 
 
-def _integer(value, name: str) -> int:
+def check_integer(value, name: str) -> int:
     try:
         if not isinstance(value, bool):  # operator.index would read a bool as 0 or 1
             return operator.index(value)
@@ -55,7 +55,7 @@ def _integer(value, name: str) -> int:
 
 
 def check_n_qubits(n: int) -> int:
-    n = _integer(n, "n_qubits")
+    n = check_integer(n, "n_qubits")
     if not 1 <= n <= MAX_QUBITS:
         raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
     return n
@@ -119,7 +119,7 @@ def maximally_mixed(dim: int) -> DensityMatrix:
     """I/dim; dim must be an integer power of two in 2..2^MAX_QUBITS.  Cached
     per value, so repeated calls share one read-only state (a numpy integer
     gets the Python int's); an invalid dim raises before anything is cached."""
-    dim = _integer(dim, "dim")
+    dim = check_integer(dim, "dim")
     _check_qubit_dim(dim)
     return _maximally_mixed(dim)
 

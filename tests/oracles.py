@@ -8,7 +8,8 @@ with the mode and shots passed separately.  The exact overlap, the HSD and
 the POVM probabilities are kept with every product written as `@`, and the
 CSV writer with its per-cell `repr` formatting, as the library had them
 before it took its small products through `ndarray.dot` and its CSV rows
-through one `writerows`.
+through one `writerows`.  Two-qubit k-means data, the paper's own setting,
+is drawn here too, since no CLI target uses it.
 """
 
 import csv
@@ -17,6 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from qhsd.encoding import safe_radius
 from qhsd.interferometry import _povm_functional
 from qhsd.states import DensityMatrix, StateError, _check_qubit_dim
 
@@ -106,3 +108,22 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([repr(float(x)) if isinstance(x, (int, float, np.floating)) else x for x in row])
+
+
+def two_qubit_blobs(n_points: int, seed: int) -> np.ndarray:
+    """Two Gaussian blobs of 15-feature points (two-qubit Bloch vectors),
+    centred at +-(0.08 e0 + 0.05 e5) with spread 0.03, each point redrawn
+    until it lies inside safe_radius(4), the ball where every direction
+    encodes to a state.  Deterministic for a fixed seed."""
+    rng = np.random.default_rng(seed)
+    centre = np.zeros(15)
+    centre[[0, 5]] = 0.08, 0.05
+    radius = safe_radius(4)
+    out = []
+    for c, size in ((centre, n_points // 2), (-centre, n_points - n_points // 2)):
+        pts = np.empty((0, 15))
+        while pts.shape[0] < size:
+            cand = c + 0.03 * rng.standard_normal((size - pts.shape[0], 15))
+            pts = np.vstack([pts, cand[np.linalg.norm(cand, axis=1) <= radius]])
+        out.append(pts)
+    return np.vstack(out)

@@ -175,6 +175,15 @@ def test_state_file_that_is_not_json_names_the_file(tmp_path, capsys):
     assert err.startswith(f"error: state {str(path)!r}: Expecting value")
 
 
+def test_deeply_nested_state_file_is_an_input_error(tmp_path, capsys):
+    # json.load raises RecursionError, not ValueError, past its nesting limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "distance", str(path), "mixed")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: state {str(path)!r}: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("case", ["missing_points", "out_is_directory", "out_dir_below_file", "state_is_directory"])
 def test_io_failure_exit_code(tmp_path, capsys, case):
     file = tmp_path / "file"
@@ -557,6 +566,17 @@ def test_cluster_header_is_one_all_text_first_row(tmp_path, capsys, body, bad):
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert err == f"error: non-numeric row in {path}: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_field_over_the_csv_limit_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("0.1,0,0\n0.2,0," + "0" * 200000 + "\n-0.1,0,0\n")
+    assert 200000 > csv.field_size_limit()
+    code, out, err = run(capsys, "cluster", str(path), "--k", "2",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unreadable CSV {path}: field larger than field limit")
     assert not (tmp_path / "out").exists()
 
 

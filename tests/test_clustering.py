@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from qhsd.clustering import (
 from qhsd.encoding import EncodingError, encode
 from qhsd.interferometry import NoiseModel
 from qhsd.states import StateError
+
+from oracles import two_qubit_blobs
 
 
 def test_assign_point_on_centroid():
@@ -144,6 +148,19 @@ def test_demo_simulated_label_agreement():
     assert agree >= 0.99
 
 
+@pytest.mark.parametrize("data_seed", [0, 1, 2])
+@pytest.mark.parametrize("init_seed", [0, 1, 2])
+def test_two_qubit_exact_kmeans_matches_euclidean(data_seed, init_seed):
+    # the paper's setting: two-qubit states, 15 features inside safe_radius(4)
+    points = two_qubit_blobs(195, seed=data_seed)
+    assert points.shape == (195, 15)
+    assert np.linalg.norm(points, axis=1).max() <= encoding.safe_radius(4)
+    r_euc = kmeans(points, 2, init_seed=init_seed)
+    r_hsd = kmeans(points, 2, init_seed=init_seed, backend=ExactHsdBackend())
+    assert np.array_equal(r_euc.labels, r_hsd.labels)
+    assert r_euc.iterations == r_hsd.iterations
+
+
 def test_encode_memo_holds_the_demo_point_set():
     # Each point misses once per run and each iteration's centroids once,
     # not each point once per iteration.
@@ -181,6 +198,25 @@ def test_kmeans_rejects_max_iter_below_one():
     with pytest.raises(StateError, match="max_iter must be >= 1"):
         kmeans(two_gaussian_demo(20), 2, max_iter=0, backend=backend)
     assert backend.calls == 0
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("name", ["k", "max_iter"])
+def test_kmeans_refuses_non_integer_k_and_max_iter(name, value):
+    # a bool would otherwise run as 1 and a float reach numpy's TypeError
+    backend = _CountingBackend()
+    sizes = {"k": 2, "max_iter": 100, name: value}
+    with pytest.raises(StateError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        kmeans(two_gaussian_demo(20), backend=backend, **sizes)
+    assert backend.calls == 0
+
+
+def test_kmeans_takes_numpy_integer_sizes():
+    points = two_gaussian_demo(20)
+    numpy_sizes = kmeans(points, np.int64(2), max_iter=np.int32(100))
+    python_sizes = kmeans(points, 2, max_iter=100)
+    assert np.array_equal(numpy_sizes.labels, python_sizes.labels)
+    assert numpy_sizes.iterations == python_sizes.iterations
 
 
 @pytest.mark.parametrize("points", [[0.1, 0.2, 0.3], np.zeros((2, 3, 1))])

@@ -149,6 +149,13 @@ def test_radii_refuse_dimension_below_two():
         safe_radius(1)
 
 
+@pytest.mark.parametrize("dim", [True, 2.5, np.float64(4.0), "4", None])
+def test_safe_radius_refuses_non_integer_dim(dim):
+    with pytest.raises(StateError, match="^dim must be an integer, got "):
+        safe_radius(dim)
+    assert safe_radius(np.int64(4)) == safe_radius(4)
+
+
 def test_safe_radius_sufficient_not_necessary():
     rng = np.random.default_rng(31)
     for _ in range(200):

@@ -114,33 +114,30 @@ def _simulated_report(m: interferometry.HsdMeasurement) -> dict:
     }
 
 
-def cmd_distance(args, noise: NoiseModel) -> None:
+def _pair(args, noise: NoiseModel) -> None:
+    # args.report, set by build_parser, builds the pair command's payload
     a = parse_state_spec(args.state_a)
     b = parse_state_spec(args.state_b)
+    _emit(args.report(a, b, args, noise), args.out)
+
+
+def cmd_distance(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) -> dict:
     if args.mode == "exact":
-        payload = {"mode": "exact", **_exact_report(a, b)}
-    else:
-        m = interferometry.measure_hsd(a, b, noise)
-        payload = {"mode": "simulated", "noise": asdict(noise), **_simulated_report(m)}
-    _emit(payload, args.out)
-
-
-def cmd_overlap(args, noise: NoiseModel) -> None:
-    a = parse_state_spec(args.state_a)
-    b = parse_state_spec(args.state_b)
-    if args.mode == "exact":
-        payload = {"mode": "exact", "overlap": states.overlap_exact(a, b)}
-    else:
-        est = interferometry.measure_overlap(a, b, noise)
-        payload = {"mode": "simulated", "noise": asdict(noise), "overlap": _overlap_dict(est)}
-    _emit(payload, args.out)
-
-
-def cmd_simulate(args, noise: NoiseModel) -> None:
-    a = parse_state_spec(args.state_a)
-    b = parse_state_spec(args.state_b)
+        return {"mode": "exact", **_exact_report(a, b)}
     m = interferometry.measure_hsd(a, b, noise)
-    payload = {
+    return {"mode": "simulated", "noise": asdict(noise), **_simulated_report(m)}
+
+
+def cmd_overlap(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) -> dict:
+    if args.mode == "exact":
+        return {"mode": "exact", "overlap": states.overlap_exact(a, b)}
+    est = interferometry.measure_overlap(a, b, noise)
+    return {"mode": "simulated", "noise": asdict(noise), "overlap": _overlap_dict(est)}
+
+
+def cmd_simulate(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) -> dict:
+    m = interferometry.measure_hsd(a, b, noise)
+    return {
         "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": asdict(noise)},
         "measurement_plan": {
             "overlap_povms": interferometry.plan_measurements(a.n_qubits, "overlap"),
@@ -148,7 +145,6 @@ def cmd_simulate(args, noise: NoiseModel) -> None:
         },
         **_simulated_report(m),
     }
-    _emit(payload, args.out)
 
 
 def _parse_cell(cell: str) -> Optional[float]:
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, help_text in (
+    for name, report, help_text in (
         ("distance", cmd_distance, "HSD between two states"),
         ("overlap", cmd_overlap, "first-order overlap Tr(rho_a rho_b)"),
         ("simulate", cmd_simulate, "full simulation report with per-POVM counts"),
@@ -293,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("state_a")
         p.add_argument("state_b")
-        if func is not cmd_simulate:  # simulate always measures
+        if report is not cmd_simulate:  # simulate always measures
             p.add_argument("--mode", choices=["exact", "simulated"], default="exact")
         p.add_argument("--out", help="write report JSON here instead of stdout")
         _add_common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_pair, report=report)
 
     p = sub.add_parser("cluster", help="k-means over a point-cloud CSV")
     p.add_argument("points")

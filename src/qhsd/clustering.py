@@ -141,7 +141,7 @@ def kmeans(
     if backend.kind != "euclidean":
         check_encodable(points)
     patience = 3 if backend.kind == "hsd_simulated" else 1
-    rng = np.random.default_rng(init_seed)
+    rng = np.random.default_rng(check_integer(init_seed, "init_seed"))
     centroids = _init_centroids(points, k, rng)
     trace: List[np.ndarray] = [centroids.copy()]
     labels = None
@@ -171,8 +171,8 @@ DEMO_RADIUS = 0.5
 def two_gaussian_demo(n_points: int = 1000, seed: int = 0) -> np.ndarray:
     """Two Gaussian blobs of 3D points, resampled to stay inside the ball of
     radius DEMO_RADIUS.  Deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    half = n_points // 2
+    rng = np.random.default_rng(check_integer(seed, "seed"))
+    half = check_integer(n_points, "n_points") // 2
     sizes = (half, n_points - half)
     out = []
     for c, size in zip(DEMO_CENTERS, sizes):

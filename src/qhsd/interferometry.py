@@ -68,11 +68,13 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise StateError(f"unknown noise mode {self.mode!r}")
-        if check_integer(self.shots, "shots") < 1:
+        object.__setattr__(self, "shots", check_integer(self.shots, "shots"))
+        if self.shots < 1:
             raise StateError(f"shots must be >= 1, got {self.shots}")
         if self.shots > MAX_SHOTS:
             raise StateError(f"shots must be <= 2^53, got {self.shots}")
-        if check_integer(self.seed, "seed") < 0:
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
+        if self.seed < 0:
             raise StateError(f"seed must be >= 0, got {self.seed}")
 
 

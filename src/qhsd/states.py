@@ -168,12 +168,14 @@ def check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
 
 
 def _real_trace(m: np.ndarray) -> float:
-    """m.trace().real, bit for bit.  At 2x2 the two diagonal real parts are
-    added onto 0.0, as numpy's complex add-reduce does (so -0.0 + -0.0 reads
-    +0.0), without its ~2 us dispatch.  From 4x4 on numpy sums pairwise,
-    not left to right, so larger matrices keep ndarray.trace."""
+    """m.trace().real, bit for bit, without numpy's ~2 us dispatch.  At 2x2
+    the diagonal is added onto 0j in C in a fixed order, as numpy's complex
+    add-reduce adds it (so -0.0 + -0.0 reads +0.0, and a NaN sum keeps
+    numpy's sign bit); a Python float add of two NaNs keeps either sign, as
+    the interpreter has specialised it or not.  From 4x4 on numpy sums
+    pairwise, not left to right, so larger matrices keep ndarray.trace."""
     if m.shape[0] == 2:
-        return 0.0 + m.item(0, 0).real + m.item(1, 1).real
+        return (0j + m.item(0, 0) + m.item(1, 1)).real
     return m.trace().real
 
 

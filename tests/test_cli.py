@@ -6,6 +6,7 @@ import math
 import os
 import string
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from qhsd import cli, states
 from qhsd.clustering import BACKEND_KINDS
-from qhsd.interferometry import NOISE_MODES, NoiseModel, measure_hsd
+from qhsd.interferometry import NOISE_MODES, NoiseModel, measure_hsd, measure_overlap
 
 from oracles import write_csv
 
@@ -681,3 +682,14 @@ def test_write_csv_matches_per_cell_repr_formatter(tmp_path, case):
     cli._write_csv(str(tmp_path / "cli.csv"), header, rows)
     write_csv(str(tmp_path / "oracle.csv"), header, rows)
     assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shots, seed", [(np.array(1000), np.array(3)), (np.int64(1000), np.int64(3))])
+def test_noise_model_stores_the_ints_it_checked(shots, seed):
+    # a 0-d array is unhashable and a numpy integer is not JSON; both reach the reports
+    noise = NoiseModel("binomial", shots, seed)
+    assert type(noise.shots) is int and type(noise.seed) is int
+    assert hash(noise) == hash(NoiseModel("binomial", 1000, 3))
+    est = measure_overlap(states.make_bell("phi+"), states.make_werner(0.5), noise, (0,))
+    report = {"noise": asdict(noise), "overlap": cli._overlap_dict(est)}
+    assert json.loads(json.dumps(report))["overlap"]["counts"]["shots_per_config"] == 1000

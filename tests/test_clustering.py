@@ -201,7 +201,7 @@ def test_kmeans_rejects_max_iter_below_one():
 
 
 @pytest.mark.parametrize("value", [True, 2.5, np.float64(2.0), "2", None])
-@pytest.mark.parametrize("name", ["k", "max_iter"])
+@pytest.mark.parametrize("name", ["k", "max_iter", "init_seed"])
 def test_kmeans_refuses_non_integer_k_and_max_iter(name, value):
     # a bool would otherwise run as 1 and a float reach numpy's TypeError
     backend = _CountingBackend()
@@ -209,6 +209,15 @@ def test_kmeans_refuses_non_integer_k_and_max_iter(name, value):
     with pytest.raises(StateError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         kmeans(two_gaussian_demo(20), backend=backend, **sizes)
     assert backend.calls == 0
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.float64(2.0), "2", None])
+@pytest.mark.parametrize("name", ["n_points", "seed"])
+def test_two_gaussian_demo_refuses_non_integer_size_and_seed(name, value):
+    # a bool would otherwise run as 1, and a seed of None draw from OS entropy
+    sizes = {"n_points": 10, "seed": 0, name: value}
+    with pytest.raises(StateError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        two_gaussian_demo(**sizes)
 
 
 def test_kmeans_takes_numpy_integer_sizes():

@@ -1,3 +1,4 @@
+import sys
 import weakref
 
 import numpy as np
@@ -185,6 +186,17 @@ def test_exact_traces_keep_their_bits_on_edge_diagonals():
                 for b in (eye, a):
                     assert _bits(overlap_exact(b, a)) == _bits(_seed_overlap_exact(b, a))
                     assert _bits(hsd_exact(b, a)) == _bits(_seed_hsd_exact(b, a))
+
+
+def test_exact_traces_keep_their_bits_under_a_tracer():
+    # A tracer keeps CPython from specialising its float add, which then gave
+    # a sum of two opposite NaNs the other sign bit.
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        test_exact_traces_keep_their_bits_on_edge_diagonals()
+    finally:
+        sys.settrace(previous)
 
 
 def test_hsd_metric_properties():

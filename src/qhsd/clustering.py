@@ -127,10 +127,8 @@ def kmeans(
     validating) encoding.check_encodable raises EncodingError for a row
     that encodes outside the state space; rows count from 0."""
     points = np.asarray(points, dtype=float)
-    if check_integer(k, "k") < 1:
-        raise StateError(f"k must be >= 1, got {k}")
-    if check_integer(max_iter, "max_iter") < 1:
-        raise StateError("max_iter must be >= 1")
+    k = check_integer(k, "k", 1)
+    max_iter = check_integer(max_iter, "max_iter", 1)
     if backend is None:
         backend = EuclideanBackend()
     if points.ndim != 2:
@@ -141,7 +139,7 @@ def kmeans(
     if backend.kind != "euclidean":
         check_encodable(points)
     patience = 3 if backend.kind == "hsd_simulated" else 1
-    rng = np.random.default_rng(check_integer(init_seed, "init_seed"))
+    rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))
     centroids = _init_centroids(points, k, rng)
     trace: List[np.ndarray] = [centroids.copy()]
     labels = None
@@ -171,8 +169,8 @@ DEMO_RADIUS = 0.5
 def two_gaussian_demo(n_points: int = 1000, seed: int = 0) -> np.ndarray:
     """Two Gaussian blobs of 3D points, resampled to stay inside the ball of
     radius DEMO_RADIUS.  Deterministic for a fixed seed."""
-    rng = np.random.default_rng(check_integer(seed, "seed"))
-    half = check_integer(n_points, "n_points") // 2
+    rng = np.random.default_rng(check_integer(seed, "seed", 0))
+    half = check_integer(n_points, "n_points", 0) // 2
     sizes = (half, n_points - half)
     out = []
     for c, size in zip(DEMO_CENTERS, sizes):

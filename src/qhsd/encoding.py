@@ -65,8 +65,7 @@ def _n_qubits_for_length(length: int) -> int:
 def safe_radius(dim: int) -> float:
     """Inner radius 1/sqrt(2 D (D-1)); every vector inside encodes to a
     positive-semidefinite matrix regardless of direction."""
-    if check_integer(dim, "dim") < 2:
-        raise StateError(f"dim={dim} must be >= 2")
+    dim = check_integer(dim, "dim", 2)
     return float(1.0 / np.sqrt(2.0 * dim * (dim - 1)))
 
 

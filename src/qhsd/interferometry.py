@@ -68,14 +68,10 @@ class NoiseModel:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise StateError(f"unknown noise mode {self.mode!r}")
-        object.__setattr__(self, "shots", check_integer(self.shots, "shots"))
-        if self.shots < 1:
-            raise StateError(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "shots", check_integer(self.shots, "shots", 1))
         if self.shots > MAX_SHOTS:
             raise StateError(f"shots must be <= 2^53, got {self.shots}")
-        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
-        if self.seed < 0:
-            raise StateError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)

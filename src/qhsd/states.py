@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +45,13 @@ _BELL_VECTORS = {
 }
 
 
-def check_integer(value, name: str) -> int:
+def check_integer(value, name: str, minimum: Optional[int] = None) -> int:
     try:
         if not isinstance(value, bool):  # operator.index would read a bool as 0 or 1
-            return operator.index(value)
+            n = operator.index(value)
+            if minimum is None or n >= minimum:
+                return n
+            raise StateError(f"{name} must be >= {minimum}, got {n}")
     except TypeError:
         pass
     raise StateError(f"{name} must be an integer, got {value!r}")

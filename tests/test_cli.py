@@ -529,15 +529,28 @@ def test_cluster_without_numeric_rows_exit_code(tmp_path, capsys, body):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("option, value",
+                         [("--k", "0"), ("--k", "-1"), ("--max-iter", "0"), ("--max-iter", "-1")],
+                         ids=["0", "-1", "max_iter-0", "max_iter--1"])
 @pytest.mark.parametrize("backend", BACKEND_KINDS)
-def test_cluster_rejects_k_below_one(tmp_path, capsys, k, backend):
+def test_cluster_rejects_k_below_one(tmp_path, capsys, option, value, backend):
     path = tmp_path / "points.csv"
     path.write_text("x1,x2,x3\n0.1,0,0\n-0.1,0,0\n")
-    code, _, err = run(capsys, "cluster", str(path), "--k", k, "--backend", backend,
+    # argparse keeps the last of a repeated option, so "--k 2 --k 0" runs as k = 0
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2", option, value, "--backend", backend,
                        "--noise", "binomial", "--out-dir", str(tmp_path / "out"))
     assert code == 2
-    assert err == f"error: k must be >= 1, got {k}\n"
+    assert err == f"error: {option[2:].replace('-', '_')} must be >= 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_simulated_backend_refuses_exact_noise(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("x1,x2,x3\n0.1,0,0\n-0.1,0,0\n")
+    code, out, err = run(capsys, "cluster", str(path), "--k", "2", "--backend", "hsd_simulated",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: simulated backend needs a stochastic noise mode\n"
     assert not (tmp_path / "out").exists()
 
 

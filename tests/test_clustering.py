@@ -195,7 +195,7 @@ def test_kmeans_rejects_k_below_one(k):
 
 def test_kmeans_rejects_max_iter_below_one():
     backend = _CountingBackend()
-    with pytest.raises(StateError, match="max_iter must be >= 1"):
+    with pytest.raises(StateError, match="^max_iter must be >= 1, got 0$"):
         kmeans(two_gaussian_demo(20), 2, max_iter=0, backend=backend)
     assert backend.calls == 0
 
@@ -218,6 +218,17 @@ def test_two_gaussian_demo_refuses_non_integer_size_and_seed(name, value):
     sizes = {"n_points": 10, "seed": 0, name: value}
     with pytest.raises(StateError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
         two_gaussian_demo(**sizes)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: two_gaussian_demo(-3), "n_points", -3),
+    (lambda: two_gaussian_demo(10, seed=-1), "seed", -1),
+    (lambda: kmeans(two_gaussian_demo(20), 2, init_seed=-1), "init_seed", -1),
+], ids=["n_points", "seed", "init_seed"])
+def test_negative_demo_sizes_and_seeds_are_refused_by_name(call, name, value):
+    # numpy would otherwise raise a ValueError that names no argument
+    with pytest.raises(StateError, match=f"^{name} must be >= 0, got {value}$"):
+        call()
 
 
 def test_kmeans_takes_numpy_integer_sizes():

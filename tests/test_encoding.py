@@ -145,7 +145,7 @@ def test_radii():
 
 
 def test_radii_refuse_dimension_below_two():
-    with pytest.raises(StateError, match="dim=1 must be >= 2"):
+    with pytest.raises(StateError, match="^dim must be >= 2, got 1$"):
         safe_radius(1)
 
 

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qhsd import encoding
 from qhsd.clustering import ExactHsdBackend, kmeans, two_gaussian_demo
@@ -15,6 +17,7 @@ from qhsd.states import (
     StateError,
     _maximally_mixed,
     _real_trace,
+    check_integer,
     check_n_qubits,
     hsd_exact,
     hsd_from_overlaps,
@@ -342,6 +345,26 @@ def test_sizes_refuse_bools(warm, flag):
     assert generator_basis(np.int64(1)) is generator_basis(1)
     assert maximally_mixed(np.int64(2)) is maximally_mixed(2)
     assert plan_measurements(np.int64(1), "overlap") == 6
+
+
+_INTEGERS = st.integers(-5, 5)
+
+
+@given(
+    st.one_of(_INTEGERS, _INTEGERS.map(np.int64), _INTEGERS.map(np.int8),
+              st.integers(0, 5).map(np.uint8), st.booleans()),
+    st.integers(-2, 3),
+)
+def test_check_integer_owns_the_lower_bound(value, minimum):
+    if isinstance(value, bool):
+        with pytest.raises(StateError, match=f"^x must be an integer, got {value}$"):
+            check_integer(value, "x", minimum)
+    elif value >= minimum:
+        n = check_integer(value, "x", minimum)
+        assert type(n) is int and n == int(value)
+    else:
+        with pytest.raises(StateError, match=f"^x must be >= {minimum}, got {int(value)}$"):
+            check_integer(value, "x", minimum)
 
 
 def test_states_compare_and_hash_by_identity():

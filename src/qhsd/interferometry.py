@@ -192,7 +192,7 @@ def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
 # index L >= 4 after that is mixed into pool[d] alone with hashmix 4L + d.
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
-_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
 
 
@@ -216,7 +216,8 @@ def _last_word_terms(n_words: int) -> np.ndarray:
 # is 8 such words read as little-endian pairs, so the pool is read twice.
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_HASH_H = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], dtype=np.uint32)
+_HASH_WORDS = [_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)]
+_HASH_H = np.array(_HASH_WORDS, dtype=np.uint32)
 _HASH_XOR, _HASH_MULT = _HASH_H[:8], _HASH_H[1:]
 _HASHED_POOL_WORD = np.arange(8) % 4
 
@@ -232,15 +233,33 @@ def _pool_states(x: np.ndarray) -> np.ndarray:
 
 def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
     """SeedSequence([*words, c]).generate_state(4, np.uint64) for c below
-    n_configs, as one (n_configs, 4) uint64 array.  From 4 words on, c enters
-    the pool of `words` alone, so one SeedSequence serves every c."""
-    if len(words) < 4:  # c enters the cross-mixing of the first four words: one SeedSequence each
-        pools = [np.random.SeedSequence([*words, c]).pool for c in range(n_configs)]
-        return _pool_states(np.tile(pools, 2))
+    n_configs, as one (n_configs, 4) uint64 array, for 4 words or more: there
+    c enters the pool of `words` alone, so one SeedSequence serves every c."""
     pool = np.random.SeedSequence(words).pool[_HASHED_POOL_WORD]
     x = _MIX_L * pool - _last_word_terms(len(words))[:n_configs]
     x ^= x >> 16
     return _pool_states(x)
+
+
+def _stream_state(words: np.ndarray, c: int) -> np.ndarray:
+    """SeedSequence([*words, c]).generate_state(4, np.uint64) of configuration
+    c alone, hashed in Python integers: for one stream this is cheaper than
+    _stream_states' table.  Below 4 words c enters the cross-mixing, so
+    it takes its own SeedSequence; from 4 words on, row c of the table is
+    mixed into the pool of `words`."""
+    if len(words) < 4:
+        pool = np.random.SeedSequence([*words, c]).pool.tolist()
+    else:
+        pool = []
+        terms = _last_word_terms(len(words))[c].tolist()
+        for word, term in zip(np.random.SeedSequence(words).pool.tolist(), terms):
+            x = _MIX_L * word - term & 0xFFFFFFFF
+            pool.append(x ^ x >> 16)
+    hashed = []
+    for word, h, m in zip(pool * 2, _HASH_WORDS, _HASH_WORDS[1:]):
+        x = (word ^ h) * m & 0xFFFFFFFF
+        hashed.append(x ^ x >> 16)
+    return np.array(hashed, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -266,15 +285,21 @@ def _draw_counts(
 ) -> np.ndarray:
     if noise.mode == "exact":
         return noise.shots * np.minimum(np.maximum(probs, 0.0), 1.0)
-    # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
-    states = _stream_states(_stream_words(noise.seed, stream_key), len(probs))
     seed_type, shots, binomial = _hashed_seed_type(), noise.shots, noise.mode == "binomial"
+    # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
+    words = _stream_words(noise.seed, stream_key)
+    # A binomial 1-qubit overlap of unit-trace states draws one stream (p_II
+    # is 1), and below 4 words each stream needs its own SeedSequence anyway:
+    # seed those one by one.  The table is cheaper from two drawn streams on.
+    one_by_one = len(words) < 4 or (binomial and len(probs) == 2)
+    states = None if one_by_one else _stream_states(words, len(probs))
     draws = []
-    for state, p in zip(states, probs.tolist()):
+    for c, p in enumerate(probs.tolist()):
         p = min(max(p, 0.0), 1.0)  # as np.minimum(np.maximum(...)), -0.0 and NaN included
         if p == 0.0 or (binomial and p == 1.0):
             draws.append(shots if p else 0)  # what its stream would draw; an int is never -0.0
             continue
+        state = _stream_state(words, c) if states is None else states[c]
         rng = np.random.Generator(np.random.PCG64(seed_type(state)))
         draws.append(rng.binomial(shots, p) if binomial else rng.poisson(shots * p))
     return np.array(draws, dtype=float)
@@ -312,6 +337,10 @@ def _estimate(
 def measure_overlap(
     rho1: DensityMatrix, rho2: DensityMatrix, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
+    """Estimate Tr(rho1 rho2) from the simulated counts of its 2^n
+    configurations.  Configuration c's count comes from the stream
+    default_rng([noise.seed, *stream_key, c]); a count that is certain (a
+    clipped probability of 0, or of 1 under binomial) draws no stream."""
     probs = _self_probabilities(rho1) if rho1 is rho2 else povm_probabilities(rho1, rho2)
     counts = _draw_counts(probs, noise, stream_key)
     return _estimate(counts, noise, stream_key)

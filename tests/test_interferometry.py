@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from qhsd.interferometry import (
     _last_word_terms,
     _pool_states,
     _povm_functional,
+    _stream_state,
     _stream_states,
     _stream_words,
     measure_hsd,
@@ -236,10 +238,8 @@ def test_config_pools_match_seed_sequence(values, n):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ENTROPY, st.integers(1, MAX_QUBITS))
-@example([1, 2, 3], MAX_QUBITS)  # 3 words: the configuration enters the cross-mixing
+@given(_ENTROPY.filter(lambda values: _n_words(values) >= 4), st.integers(1, MAX_QUBITS))
 @example([1, 2, 3, 4], MAX_QUBITS)  # 4 words: the first shared-prefix case
-@example([2 ** 40, 5], MAX_QUBITS)  # 3 words from 2 values
 @example([2 ** 40, 2 ** 63], MAX_QUBITS)  # 4 words from 2 values
 def test_stream_states_match_seed_sequence(values, n):
     states = _stream_states(_stream_words(values[0], values[1:]), 2 ** n)
@@ -247,6 +247,37 @@ def test_stream_states_match_seed_sequence(values, n):
     for c, state in enumerate(states):
         expected = np.random.SeedSequence([*values, c]).generate_state(4, np.uint64)
         assert state.tolist() == expected.tolist()
+
+
+def _check_stream_state(values):
+    words = _stream_words(values[0], values[1:])
+    for c in range(2 ** MAX_QUBITS):
+        state = _stream_state(words, c)
+        expected = np.random.SeedSequence([*values, c]).generate_state(4, np.uint64)
+        assert state.dtype == np.uint64 and state.shape == (4,)
+        assert state.tolist() == expected.tolist()
+
+
+# One stream seeded alone, keys of 1 to 16 words: below 4 words through its
+# own SeedSequence, from 4 words on through the prefix's pool and table row c.
+@settings(max_examples=300, deadline=None)
+@given(_ENTROPY)
+@example([1, 2, 3])  # 3 words: the configuration enters the cross-mixing
+@example([2 ** 40, 5])  # 3 words from 2 values
+@example([2 ** 63] * 8)  # 16 words, the longest prefix drawn
+def test_stream_state_matches_seed_sequence(values):
+    _check_stream_state(values)
+
+
+def test_stream_state_keeps_its_bits_under_a_tracer():
+    # a tracer turns off CPython's specialised integer operations
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        _check_stream_state([2 ** 40, 5])
+        _check_stream_state([7, 2 ** 40, 3, 1])
+    finally:
+        sys.settrace(previous)
 
 
 @settings(max_examples=100, deadline=None)

@@ -288,10 +288,10 @@ def _draw_counts(
     seed_type, shots, binomial = _hashed_seed_type(), noise.shots, noise.mode == "binomial"
     # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
     words = _stream_words(noise.seed, stream_key)
-    # A binomial 1-qubit overlap of unit-trace states draws one stream (p_II
-    # is 1), and below 4 words each stream needs its own SeedSequence anyway:
-    # seed those one by one.  The table is cheaper from two drawn streams on.
-    one_by_one = len(words) < 4 or (binomial and len(probs) == 2)
+    # A 1-qubit overlap has two configurations, and below 4 words each stream
+    # needs its own SeedSequence anyway: seed those one by one.  Two-qubit
+    # overlaps draw 3-4 streams, for which the table is cheaper.
+    one_by_one = len(words) < 4 or len(probs) == 2
     states = None if one_by_one else _stream_states(words, len(probs))
     draws = []
     for c, p in enumerate(probs.tolist()):

@@ -125,7 +125,9 @@ def kmeans(
     Before any distance, a points array that is not 2-D or has a non-finite
     row raises StateError, and under the hsd backends (which encode without
     validating) encoding.check_encodable raises EncodingError for a row
-    that encodes outside the state space; rows count from 0."""
+    that encodes outside the state space; rows count from 0.  That check
+    builds every point's matrix in one batch and leaves the states in
+    encode's memo, so the assign loop's encode calls find them."""
     points = np.asarray(points, dtype=float)
     k = check_integer(k, "k", 1)
     max_iter = check_integer(max_iter, "max_iter", 1)

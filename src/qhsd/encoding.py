@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict
 from functools import lru_cache
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -75,50 +76,70 @@ def _matrices(u: np.ndarray) -> np.ndarray:
     return maximally_mixed(2 ** n).matrix + np.einsum("...i,ijk->...jk", u, generator_basis(n))
 
 
-# Encoded matrices kept for recently seen vectors.  k-means encodes each
-# point once per centroid per iteration (twice for k = 2) and each centroid
-# once per point.  A centroid hits after its first encode, but a point's first
-# encode in an iteration hits only if the memo holds the whole point set: this
-# bound holds the 1000-point demo and every iteration's centroids.  Full, it
-# retains about 1 MiB for 1-qubit points, 13 MiB for 4-qubit (16x16) states.
+# Encoded states kept for recently seen vectors, keyed by their float64 bytes
+# and evicted least recently used.  check_encodable stores every row of the
+# batch it checks, so k-means builds its whole point set's matrices in one
+# call, and each iteration's centroids once; the per-pair encode calls then
+# hit.  This bound holds the 1000-point demo and every iteration's centroids.
+# Full, it retains about 1 MiB for 1-qubit points, 13 MiB for 4-qubit (16x16)
+# states.
 ENCODE_CACHE_SIZE = 2048
+_MEMO: OrderedDict[bytes, DensityMatrix] = OrderedDict()
+
+
+def _encode_rows(points: np.ndarray, validate: bool) -> List[DensityMatrix]:
+    """The state of every row of a float64 stack, each stored in the memo.
+    With validate, the first row that is not a state raises EncodingError
+    and nothing is stored."""
+    m = _matrices(points)
+    if validate:
+        finite = np.isfinite(m).all(axis=(1, 2))
+        lam = np.full(m.shape[0], np.nan)
+        lam[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+        bad = np.flatnonzero(~(lam >= EIGENVALUE_TOL))
+        if bad.size:
+            raise EncodingError(
+                f"point row {bad[0]} encodes outside the state space: "
+                f"min eigenvalue {lam[bad[0]]:.3e}"
+            )
+    states = []
+    for u, mat in zip(points, m):
+        key = u.tobytes()
+        rho = _MEMO.pop(key, None) or DensityMatrix(mat)
+        _MEMO[key] = rho  # (re)inserted last: most recently used
+        states.append(rho)
+    while len(_MEMO) > ENCODE_CACHE_SIZE:
+        _MEMO.popitem(last=False)
+    return states
 
 
 def check_encodable(points: np.ndarray) -> None:
     """Raise EncodingError for the first row u of `points` whose encode(u)
     is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
-    the matrix is not finite (one batched eigendecomposition covers the rest)."""
-    m = _matrices(np.asarray(points, dtype=float))
-    finite = np.isfinite(m).all(axis=(1, 2))
-    lam = np.full(m.shape[0], np.nan)
-    lam[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
-    bad = np.flatnonzero(~(lam >= EIGENVALUE_TOL))
-    if bad.size:
-        raise EncodingError(
-            f"point row {bad[0]} encodes outside the state space: "
-            f"min eigenvalue {lam[bad[0]]:.3e}"
-        )
+    the matrix is not finite (one batched eigendecomposition covers the rest).
+    Once every row passes, each row's state goes into encode's memo, so the
+    matrices of a point set are built in this one batch."""
+    _encode_rows(np.asarray(points, dtype=float), validate=True)
 
 
 def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i.
 
-    With validate=True, check_encodable(u[None]) runs first, on every call.
-    A vector with the same float64 bytes as one of the last ENCODE_CACHE_SIZE
-    (2048) encoded gets that one's shared, read-only DensityMatrix back, so
-    k-means on up to ~2000 points builds each point's matrix once per run.
+    With validate=True, u is checked as check_encodable(u[None]) checks it,
+    on every call.  A vector with the same float64 bytes as one of the last
+    ENCODE_CACHE_SIZE (2048) encoded or checked (least recently used goes
+    first) gets that one's shared, read-only DensityMatrix back, so k-means
+    on up to ~2000 points builds each point's matrix once per run.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise StateError(f"expected a feature vector, got shape {u.shape}")
-    if validate:
-        check_encodable(u[None])
-    return _encode_bytes(u.tobytes())
-
-
-@lru_cache(maxsize=ENCODE_CACHE_SIZE)
-def _encode_bytes(data: bytes) -> DensityMatrix:
-    return DensityMatrix(_matrices(np.frombuffer(data)))
+    key = u.tobytes()
+    rho = _MEMO.get(key)
+    if rho is None or validate:
+        return _encode_rows(u[None], validate)[0]
+    _MEMO.move_to_end(key)
+    return rho
 
 
 def decode(rho: DensityMatrix) -> np.ndarray:

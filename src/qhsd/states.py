@@ -70,9 +70,6 @@ def _check_qubit_dim(d: int) -> None:
 
 
 def _validate_matrix(m: np.ndarray) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise StateError(f"expected a square matrix, got shape {m.shape}")
-    _check_qubit_dim(m.shape[0])
     if not np.isfinite(m).all():
         raise StateError("matrix has non-finite entries")
     herm = np.abs(m - m.conj().T).max()
@@ -92,20 +89,25 @@ class DensityMatrix:
 
     Immutable once constructed; the wrapped array is made read-only.
     Equality and hashing go by identity, so a state can key a dictionary.
+    Construction refuses a matrix that is not square or whose dimension is
+    no qubit dimension; from_array also checks the state invariants.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise StateError(f"expected a square matrix, got shape {m.shape}")
+        _check_qubit_dim(m.shape[0])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_array(cls, matrix) -> "DensityMatrix":
-        m = np.asarray(matrix, dtype=complex)
-        _validate_matrix(m)
-        return cls(m)
+        rho = cls(matrix)
+        _validate_matrix(rho.matrix)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -113,9 +115,7 @@ class DensityMatrix:
 
     @property
     def n_qubits(self) -> int:
-        d = self.matrix.shape[0]
-        _check_qubit_dim(d)
-        return d.bit_length() - 1
+        return self.matrix.shape[0].bit_length() - 1
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -28,16 +28,22 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def permute_qubits(a: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
-    """Relabel qubits so that new qubit i is old qubit order[i].  Joint states
-    of two copies can exceed MAX_QUBITS, which DensityMatrix.n_qubits refuses,
-    so the qubit count is read off the dimension here."""
-    n = a.dim.bit_length() - 1
+    """Relabel qubits so that new qubit i is old qubit order[i]."""
+    return DensityMatrix(permute_qubit_axes(a.matrix, order))
+
+
+def permute_qubit_axes(m: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """permute_qubits on a plain 2^n x 2^n array.  Joint states of two copies
+    can exceed MAX_QUBITS, which DensityMatrix refuses, so the qubit count is
+    read off the dimension here."""
+    dim = m.shape[0]
+    n = dim.bit_length() - 1
     order = list(order)
     if sorted(order) != list(range(n)):
         raise StateError(f"{order} is not a permutation of 0..{n - 1}")
-    t = a.matrix.reshape((2,) * (2 * n))
+    t = m.reshape((2,) * (2 * n))
     t = t.transpose(order + [n + o for o in order])
-    return DensityMatrix(t.reshape(a.dim, a.dim))
+    return t.reshape(dim, dim)
 
 
 def pure_state(vector: Sequence[complex]) -> DensityMatrix:

@@ -161,13 +161,22 @@ def test_two_qubit_exact_kmeans_matches_euclidean(data_seed, init_seed):
     assert r_euc.iterations == r_hsd.iterations
 
 
-def test_encode_memo_holds_the_demo_point_set():
-    # Each point misses once per run and each iteration's centroids once,
-    # not each point once per iteration.
+def test_encode_memo_holds_the_demo_point_set(monkeypatch):
+    # The points are built once per run, in the batch that checks them, and
+    # each iteration's centroids once, not each point once per iteration.
     points = two_gaussian_demo(1000, seed=0)
-    encoding._encode_bytes.cache_clear()
+    encoding._MEMO.clear()
+    built = []
+    matrices = encoding._matrices
+
+    def counting(u):
+        built.append(u.shape[0])
+        return matrices(u)
+
+    monkeypatch.setattr(encoding, "_matrices", counting)
     result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
-    assert encoding._encode_bytes.cache_info().misses <= 1000 + 2 * result.iterations
+    assert built[0] == 1000 and set(built[1:]) == {1}
+    assert sum(built) <= 1000 + 2 * result.iterations
 
 
 def test_two_gaussian_demo_properties():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -228,10 +229,11 @@ def _seed_encode(u, validate=True):
 
 
 @st.composite
-def _vectors(draw):
-    """A 1-4 qubit vector, inside or outside the state space, with some
-    entries set to +0.0 and some to -0.0."""
-    n = draw(st.integers(1, 4))
+def _vectors(draw, n=None):
+    """A 1-4 qubit vector (n qubits when given), inside or outside the state
+    space, with some entries set to +0.0 and some to -0.0."""
+    if n is None:
+        n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     u = rng.standard_normal(4 ** n - 1)
     d = 2 ** n
@@ -332,8 +334,22 @@ def test_encode_validates_after_unvalidated_hit():
 def test_encode_cache_stays_bounded():
     for x in np.linspace(-0.1, 0.1, 10 * ENCODE_CACHE_SIZE):
         encode([x, 0.0, 0.0])
-        assert encoding._encode_bytes.cache_info().currsize <= ENCODE_CACHE_SIZE
-    assert encoding._encode_bytes.cache_info().currsize == ENCODE_CACHE_SIZE
+        assert len(encoding._MEMO) <= ENCODE_CACHE_SIZE
+    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
+    # a checked batch larger than the bound is stored and trimmed too
+    check_encodable(np.linspace(-0.1, 0.1, 3 * ENCODE_CACHE_SIZE)[:, None] * [0.0, 1.0, 0.0])
+    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
+
+
+def test_encode_memo_evicts_least_recently_used():
+    first = encode([0.3, 0.0, 0.0])
+    xs = np.linspace(-0.1, 0.1, 2 * ENCODE_CACHE_SIZE)
+    for x in xs:
+        encode([0.0, 0.0, x])
+        # a hit refreshes its entry, so a vector used every step stays
+        assert encode([0.3, 0.0, 0.0], validate=False) is first
+    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
+    assert np.array([0.0, 0.0, xs[0]]).tobytes() not in encoding._MEMO
 
 
 @pytest.mark.parametrize("u", [
@@ -345,8 +361,51 @@ def test_encode_cache_stays_bounded():
 ])
 def test_encode_non_vector_raises_as_before(u):
     # every non-1-D input gets the shape StateError, not whatever numpy raises first
-    before = encoding._encode_bytes.cache_info().currsize
+    before = len(encoding._MEMO)
     with pytest.raises(StateError) as got:
         encode(u)
     assert str(got.value) == f"expected a feature vector, got shape {np.shape(u)}"
-    assert encoding._encode_bytes.cache_info().currsize == before
+    assert len(encoding._MEMO) == before
+
+
+@st.composite
+def _repeating_stacks(draw):
+    """Rows of one 1-4 qubit length that repeat a few vectors, inside or
+    outside the state space, with +-0.0 entries."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(_vectors(n), min_size=1, max_size=4))
+    order = draw(st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    return np.array([pool[i % len(pool)] for i in order])
+
+
+def _check_batch_memo(points):
+    expected = [_seed_encode(u, False) for u in points]
+    before = list(encoding._MEMO.items())
+    if any(np.linalg.eigvalsh(m)[0] < -1e-9 for m in expected):
+        with pytest.raises(EncodingError):
+            check_encodable(points)
+        assert list(encoding._MEMO.items()) == before  # a refused batch stores nothing
+        return
+    check_encodable(points)
+    for u, m in zip(points, expected):
+        rho = encoding._MEMO[u.tobytes()]
+        assert rho.matrix.tobytes() == m.tobytes()  # bit for bit, signed zeros included
+        assert encode(u, validate=False) is rho
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=_repeating_stacks())
+def test_check_encodable_stores_the_seed_formula(points):
+    _check_batch_memo(points)
+
+
+def test_check_encodable_stores_its_bits_under_a_tracer():
+    points = np.array([[0.1, -0.0, 0.0], [0.0, 0.2, -0.1], [0.1, -0.0, 0.0], [-0.0, 0.0, 0.0]])
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        encoding._MEMO.clear()
+        _check_batch_memo(points)
+        _check_batch_memo(np.vstack([points, [0.9, 0.0, 0.0]]))
+    finally:
+        sys.settrace(previous)

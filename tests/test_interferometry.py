@@ -44,7 +44,7 @@ from qhsd.states import (
     overlap_exact,
 )
 
-from oracles import estimate_overlap, permute_qubits, pure_state, random_mixed, tensor
+from oracles import estimate_overlap, permute_qubit_axes, pure_state, random_mixed, tensor
 
 
 # Reference for the configuration probabilities: the joint state of the two
@@ -53,17 +53,22 @@ from oracles import estimate_overlap, permute_qubits, pure_state, random_mixed, 
 def arrange_joint_state(rho1, rho2):
     """Joint state of the two copies, regrouped per photon: qubit k of rho1
     and qubit k of rho2 sit next to each other (photon k)."""
+    return DensityMatrix(_joint_matrix(rho1, rho2))
+
+
+def _joint_matrix(rho1, rho2):
+    """arrange_joint_state as a plain array, which may exceed MAX_QUBITS."""
     if rho1.dim != rho2.dim:
         raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
     n = rho1.n_qubits
     order = [q for k in range(n) for q in (k, n + k)]
-    return permute_qubits(tensor(rho1, rho2), order)
+    return permute_qubit_axes(np.kron(rho1.matrix, rho2.matrix), order)
 
 
 def joint_state_probabilities(rho1, rho2):
     """Tr(P_c joint) for every configuration c, in binary-counting order
     (photon A is the high bit, 1 = singlet)."""
-    joint = arrange_joint_state(rho1, rho2).matrix
+    joint = _joint_matrix(rho1, rho2)
     singlet = make_bell(BellKind.PSI_MINUS).matrix
     probs = []
     for cfg in itertools.product((0, 1), repeat=rho1.n_qubits):
@@ -719,6 +724,21 @@ def test_plan_measurements_qubit_range(n):
 
 
 def test_povm_probabilities_rejects_non_qubit_dimension():
-    rho = DensityMatrix(np.eye(3) / 3)  # unvalidated, so the 3x3 gets through
+    # the 3x3 is refused when it is built, so it never reaches povm_probabilities
     with pytest.raises(StateError, match="dimension 3 is not a power of two"):
-        povm_probabilities(rho, rho)
+        DensityMatrix(np.eye(3) / 3)
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.eye(3) / 3, "dimension 3 is not a power of two in 2..16"),
+    (np.diag([1.0, 0.0, 0.0]), "dimension 3 is not a power of two in 2..16"),
+    (np.eye(32) / 32, "dimension 32 is not a power of two in 2..16"),
+    (np.ones((2, 4)) / 4, "expected a square matrix, got shape (2, 4)"),
+    (np.eye(2)[None] / 2, "expected a square matrix, got shape (1, 2, 2)"),
+])
+def test_distances_cannot_receive_a_non_qubit_state(m, message):
+    # hsd_exact took two 3x3 states (0.816 for I/3 against diag(1, 0, 0))
+    for distance in (hsd_exact, lambda a, b: measure_hsd(a, b, NoiseModel("binomial", 1000, 0))):
+        with pytest.raises(StateError) as got:
+            distance(DensityMatrix(m), maximally_mixed(2))
+        assert str(got.value) == message

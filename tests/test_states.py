@@ -284,12 +284,12 @@ def test_permute_qubits():
 
 @pytest.mark.parametrize("dim", [*range(2, 17), 32])
 def test_n_qubits_of_unvalidated_matrix(dim):
-    rho = DensityMatrix(np.eye(dim) / dim)
+    # a dimension that is no qubit dimension is refused when the state is built
     if dim & (dim - 1) or dim > 2 ** MAX_QUBITS:
         with pytest.raises(StateError, match=f"dimension {dim} is not a power of two"):
-            rho.n_qubits
+            DensityMatrix(np.eye(dim) / dim)
     else:
-        assert rho.n_qubits == int(round(np.log2(dim)))
+        assert DensityMatrix(np.eye(dim) / dim).n_qubits == int(round(np.log2(dim)))
 
 
 def test_invalid_matrices_rejected():

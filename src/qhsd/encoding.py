@@ -118,8 +118,12 @@ def check_encodable(points: np.ndarray) -> None:
     is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
     the matrix is not finite (one batched eigendecomposition covers the rest).
     Once every row passes, each row's state goes into encode's memo, so the
-    matrices of a point set are built in this one batch."""
-    _encode_rows(np.asarray(points, dtype=float), validate=True)
+    matrices of a point set are built in this one batch.  An array that is
+    not 2-D raises StateError, as in kmeans."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise StateError(f"expected a (points, features) array, got shape {points.shape}")
+    _encode_rows(points, validate=True)
 
 
 def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:

@@ -11,11 +11,16 @@ the four rates as
 which is the trace of the pairwise SWAP (= I - 2S per photon) against the
 two copies; in general each rate carries the weight (-2)^(number of S).
 
-Every rate is a fixed linear functional of rho1 (x) rho2, so the 2^n
-probabilities of a pair come from one tensor K per qubit count, built on
-first use: p_c = vec(rho1) . K[c] . vec(rho2).  No joint state is formed.
-A self-overlap's probabilities depend on its one state, so they are computed
-once per live state and dropped with it.
+Every rate follows from the two states' Pauli coordinates r_a = Tr(rho P_a)
+over the 4^n Pauli strings (r_0 = 1), the Bloch coordinates the mixed-state
+encoding writes data into.  Per photon the singlet is (I - SWAP)/2, and
+SWAP = 1/2 sum_P P (x) P, so configuration c with singlet set S_c has
+
+    p_c = 4^-|S_c| sum_{a : supp(a) in S_c} (-1)^|supp(a)| r1_a r2_a,
+
+one fixed weight table per qubit count applied to r1 * r2.  No joint state
+is formed.  Each live state's coordinates are computed once and dropped
+with it.
 """
 
 from __future__ import annotations
@@ -30,16 +35,15 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from qhsd.encoding import decode
 from qhsd.states import (
     MAX_QUBITS,
-    BellKind,
     DensityMatrix,
     StateError,
     check_integer,
     check_n_qubits,
     check_same_dim,
     hsd_from_overlaps,
-    make_bell,
 )
 
 NOISE_MODES = ("exact", "binomial", "poisson")
@@ -103,9 +107,6 @@ class OverlapEstimate:
         }
 
 
-_SINGLET = make_bell(BellKind.PSI_MINUS).matrix
-
-
 def _configs(n: int) -> List[Tuple[int, ...]]:
     """All identity/singlet choices per photon; 1 = singlet.  Binary counting
     order, so (0,...,0) comes first."""
@@ -113,50 +114,42 @@ def _configs(n: int) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _povm_functional(n: int) -> np.ndarray:
-    """K of shape (2^n, D^2, D^2), D = 2^n, such that configuration c has
-    probability vec(rho1) . K[c] . vec(rho2), vec flattening row-major.
-
-    K[c] is the configuration's projector on the two copies, whose indices
-    run photon by photon (qubit k of rho1, qubit k of rho2), regrouped as
-    (rho1 row, rho1 column) x (rho2 row, rho2 column).  Its entries are real
-    but stored complex, so the product with a density matrix needs no cast."""
+def _povm_weights(n: int) -> np.ndarray:
+    """W of shape (2^n, 4^n) such that configuration c has probability
+    W[c] . (r1 * r2), r the Pauli coordinates of each state (_coordinates).
+    Photon k contributes [1, 0, 0, 0] (identity) or [1, -1, -1, -1] / 4
+    (singlet) over its qubit's letters I, X, Y, Z, and W is their Kronecker
+    product, photon A and qubit 0 highest in both indices.  Every entry is
+    0 or +-4^-m, so row 0 picks r1_0 * r2_0 = 1 exactly."""
     check_n_qubits(n)
-    d = 2 ** n
-    rows = np.arange(2 * n)
-    cols = rows + 2 * n
-    axes = [*cols[0::2], *rows[0::2], *cols[1::2], *rows[1::2]]
-    singlet = np.real(_SINGLET)
-    k = np.empty((2 ** n, d * d, d * d), dtype=complex)
-    for c, cfg in enumerate(_configs(n)):
-        op = np.ones((1, 1))
-        for bit in cfg:
-            op = np.kron(op, singlet if bit else np.eye(4))
-        k[c] = op.reshape((2,) * (4 * n)).transpose(axes).reshape(d * d, d * d)
-    k.setflags(write=False)
-    return k
+    w = np.ones((1, 1))
+    for _ in range(n):
+        w = np.kron(w, [[1.0, 0.0, 0.0, 0.0], [0.25, -0.25, -0.25, -0.25]])
+    w.setflags(write=False)
+    return w
+
+
+# Pauli coordinates of each live state, read-only; an entry lives as long as
+# its state, so the dictionary needs no size bound.
+_COORDINATES = weakref.WeakKeyDictionary()
+
+
+def _coordinates(rho: DensityMatrix) -> np.ndarray:
+    """(1, sqrt(2D) decode(rho)): Tr(rho P_a) over the 4^n Pauli strings in
+    generator_basis order, the identity string first."""
+    r = _COORDINATES.get(rho)
+    if r is None:
+        r = np.concatenate(([1.0], math.sqrt(2 * rho.dim) * decode(rho)))
+        r.setflags(write=False)
+        _COORDINATES[rho] = r
+    return r
 
 
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n configurations of two n-qubit states, in
     configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
     check_same_dim(rho1, rho2)
-    k = _povm_functional(rho1.n_qubits)
-    return np.real((k @ rho2.matrix.ravel()).dot(rho1.matrix.ravel()))
-
-
-# povm_probabilities(rho, rho) of each live state, read-only; an entry lives
-# as long as its state, so the dictionary needs no size bound.
-_SELF_PROBABILITIES = weakref.WeakKeyDictionary()
-
-
-def _self_probabilities(rho: DensityMatrix) -> np.ndarray:
-    probs = _SELF_PROBABILITIES.get(rho)
-    if probs is None:
-        probs = povm_probabilities(rho, rho)
-        probs.setflags(write=False)
-        _SELF_PROBABILITIES[rho] = probs
-    return probs
+    return _povm_weights(rho1.n_qubits).dot(_coordinates(rho1) * _coordinates(rho2))
 
 
 @lru_cache(maxsize=None)
@@ -341,8 +334,7 @@ def measure_overlap(
     configurations.  Configuration c's count comes from the stream
     default_rng([noise.seed, *stream_key, c]); a count that is certain (a
     clipped probability of 0, or of 1 under binomial) draws no stream."""
-    probs = _self_probabilities(rho1) if rho1 is rho2 else povm_probabilities(rho1, rho2)
-    counts = _draw_counts(probs, noise, stream_key)
+    counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
     return _estimate(counts, noise, stream_key)
 
 

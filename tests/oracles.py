@@ -1,26 +1,27 @@
 """Reference constructions that the tests check the library against.
 
 The library never forms the joint state of two copies; these build it
-explicitly (tensor product, then qubit relabelling), build pure states from
-state vectors, and draw random mixed states for property checks.  The
+explicitly (tensor product, then qubit relabelling) and apply each photon's
+POVM operator to it for the configuration probabilities, build pure states
+from state vectors, and draw random mixed states for property checks.  The
 overlap estimator is kept as first written, on a plain sequence of rates
-with the mode and shots passed separately.  The exact overlap, the HSD and
-the POVM probabilities are kept with every product written as `@`, and the
-CSV writer with its per-cell `repr` formatting, as the library had them
-before it took its small products through `ndarray.dot` and its CSV rows
-through one `writerows`.  Two-qubit k-means data, the paper's own setting,
+with the mode and shots passed separately.  The exact overlap and the HSD
+are kept with every product written as `@`, and the CSV writer with its
+per-cell `repr` formatting, as the library had them before it took its
+small products through `ndarray.dot` and its CSV rows through one
+`writerows`.  Two-qubit k-means data, the paper's own setting,
 is drawn here too, since no CLI target uses it.
 """
 
 import csv
+import itertools
 import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from qhsd.encoding import safe_radius
-from qhsd.interferometry import _povm_functional
-from qhsd.states import DensityMatrix, StateError, _check_qubit_dim
+from qhsd.states import BellKind, DensityMatrix, StateError, _check_qubit_dim, make_bell
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -44,6 +45,31 @@ def permute_qubit_axes(m: np.ndarray, order: Sequence[int]) -> np.ndarray:
     t = m.reshape((2,) * (2 * n))
     t = t.transpose(order + [n + o for o in order])
     return t.reshape(dim, dim)
+
+
+def _joint_matrix(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Joint state of the two copies, regrouped per photon: qubit k of rho1
+    and qubit k of rho2 sit next to each other (photon k).  A plain array,
+    since it may exceed MAX_QUBITS."""
+    if rho1.dim != rho2.dim:
+        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
+    n = rho1.n_qubits
+    order = [q for k in range(n) for q in (k, n + k)]
+    return permute_qubit_axes(np.kron(rho1.matrix, rho2.matrix), order)
+
+
+def joint_state_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Tr(P_c joint) for every configuration c, in binary-counting order
+    (photon A is the high bit, 1 = singlet)."""
+    joint = _joint_matrix(rho1, rho2)
+    singlet = make_bell(BellKind.PSI_MINUS).matrix
+    probs = []
+    for cfg in itertools.product((0, 1), repeat=rho1.n_qubits):
+        op = np.ones((1, 1))
+        for bit in cfg:
+            op = np.kron(op, singlet if bit else np.eye(4))
+        probs.append(np.real(np.trace(op @ joint)))
+    return np.array(probs)
 
 
 def pure_state(vector: Sequence[complex]) -> DensityMatrix:
@@ -98,12 +124,6 @@ def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
     """sqrt(max(0, Tr[(a - b)^2])) from the `@` product and ndarray.trace."""
     d = a.matrix - b.matrix
     return math.sqrt(max(0.0, (d @ d).trace().real))
-
-
-def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """vec(rho1) . K[c] . vec(rho2) for every configuration c, both products `@`."""
-    k = _povm_functional(rho1.dim.bit_length() - 1)
-    return np.real((k @ rho2.matrix.ravel()) @ rho1.matrix.ravel())
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:

@@ -368,6 +368,17 @@ def test_encode_non_vector_raises_as_before(u):
     assert len(encoding._MEMO) == before
 
 
+@pytest.mark.parametrize("points", [0.1, np.zeros(3), np.zeros((2, 1, 3))])
+def test_check_encodable_non_stack_raises_as_kmeans_does(points):
+    # a scalar, a vector and a 3-D stack get kmeans' shape StateError, not
+    # numpy's AxisError or IndexError, and store nothing
+    before = list(encoding._MEMO.items())
+    with pytest.raises(StateError) as got:
+        check_encodable(points)
+    assert str(got.value) == f"expected a (points, features) array, got shape {np.shape(points)}"
+    assert list(encoding._MEMO.items()) == before
+
+
 @st.composite
 def _repeating_stacks(draw):
     """Rows of one 1-4 qubit length that repeat a few vectors, inside or

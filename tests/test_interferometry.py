@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qhsd.encoding import encode, safe_radius
+from qhsd import interferometry
+from qhsd.encoding import decode, encode, safe_radius
 from qhsd.interferometry import (
-    _SELF_PROBABILITIES,
+    _COORDINATES,
     NOISE_MODES,
     EstimationError,
     NoiseModel,
@@ -22,7 +23,7 @@ from qhsd.interferometry import (
     _estimate,
     _last_word_terms,
     _pool_states,
-    _povm_functional,
+    _povm_weights,
     _stream_state,
     _stream_states,
     _stream_words,
@@ -44,39 +45,12 @@ from qhsd.states import (
     overlap_exact,
 )
 
-from oracles import estimate_overlap, permute_qubit_axes, pure_state, random_mixed, tensor
+from oracles import _joint_matrix, estimate_overlap, joint_state_probabilities, pure_state, random_mixed, tensor
 
-
-# Reference for the configuration probabilities: the joint state of the two
-# copies with each photon's POVM operator applied to it explicitly.
 
 def arrange_joint_state(rho1, rho2):
-    """Joint state of the two copies, regrouped per photon: qubit k of rho1
-    and qubit k of rho2 sit next to each other (photon k)."""
+    """The oracle's per-photon joint state of the two copies as a state."""
     return DensityMatrix(_joint_matrix(rho1, rho2))
-
-
-def _joint_matrix(rho1, rho2):
-    """arrange_joint_state as a plain array, which may exceed MAX_QUBITS."""
-    if rho1.dim != rho2.dim:
-        raise StateError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    n = rho1.n_qubits
-    order = [q for k in range(n) for q in (k, n + k)]
-    return permute_qubit_axes(np.kron(rho1.matrix, rho2.matrix), order)
-
-
-def joint_state_probabilities(rho1, rho2):
-    """Tr(P_c joint) for every configuration c, in binary-counting order
-    (photon A is the high bit, 1 = singlet)."""
-    joint = _joint_matrix(rho1, rho2)
-    singlet = make_bell(BellKind.PSI_MINUS).matrix
-    probs = []
-    for cfg in itertools.product((0, 1), repeat=rho1.n_qubits):
-        op = np.ones((1, 1))
-        for bit in cfg:
-            op = np.kron(op, singlet if bit else np.eye(4))
-        probs.append(np.real(np.trace(op @ joint)))
-    return np.array(probs)
 
 
 @st.composite
@@ -390,40 +364,46 @@ def _overlap_outcome(rho, noise, key):
     return _hex([est.value, est.std_error, *est.counts]), est.clamped, est.noise
 
 
+def _pauli_coordinates(rho):
+    """(1, sqrt(2D) decode(rho)), computed afresh."""
+    return np.concatenate(([1.0], math.sqrt(2 * rho.dim) * decode(rho)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(overlap_cases())
-def test_self_overlap_probabilities_are_kept_per_state(case):
-    # a state's self-overlap probabilities are computed on its first
-    # self-overlap and reused after it; a fresh state with the same matrix
-    # misses the dictionary, and every outcome agrees bit for bit
+def test_coordinates_are_kept_per_state(case):
+    # a state's Pauli coordinates are computed on its first overlap and
+    # reused after it; a fresh state with the same matrix misses the
+    # dictionary, and every outcome agrees bit for bit
     a, _, noise, key = case
     first = _overlap_outcome(a, noise, key)
-    assert a in _SELF_PROBABILITIES
+    assert a in _COORDINATES
     assert _overlap_outcome(a, noise, key) == first
     assert _overlap_outcome(DensityMatrix(a.matrix), noise, key) == first
-    assert _hex(_SELF_PROBABILITIES[a]) == _hex(povm_probabilities(a, a))
+    assert _hex(_COORDINATES[a]) == _hex(_pauli_coordinates(a))
 
 
-def test_self_overlap_probabilities_are_read_only_and_private():
+def test_coordinates_are_read_only_and_private():
     rho = random_mixed(4, np.random.default_rng(3))
-    measure_overlap(rho, rho, NoiseModel("binomial", 1000, 0))
-    cached = _SELF_PROBABILITIES[rho]
+    probs = povm_probabilities(rho, rho)
+    cached = _COORDINATES[rho]
     assert not cached.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         cached[0] = 0.5
-    fresh = povm_probabilities(rho, rho)
+    fresh = decode(rho)
     assert fresh.flags.writeable and not np.shares_memory(fresh, cached)
-    fresh[0] = 0.5  # the caller's copy; the dictionary keeps its own
-    assert _hex(cached) == _hex(povm_probabilities(rho, rho))
+    assert probs.flags.writeable and not np.shares_memory(probs, cached)
+    fresh[0] = probs[0] = 0.5  # the caller's copies; the dictionary keeps its own
+    assert _hex(cached) == _hex(_pauli_coordinates(rho))
 
 
-def test_self_overlap_probabilities_go_with_their_state():
+def test_coordinates_go_with_their_state():
     rho = random_mixed(8, np.random.default_rng(4))
     measure_overlap(rho, rho, NoiseModel("exact", 1000, 0))
-    state, probs = weakref.ref(rho), weakref.ref(_SELF_PROBABILITIES[rho])
+    state, coords = weakref.ref(rho), weakref.ref(_COORDINATES[rho])
     del rho
     gc.collect()
-    assert state() is None and probs() is None
+    assert state() is None and coords() is None
 
 
 @st.composite
@@ -461,14 +441,16 @@ def _hex(values):
 @settings(max_examples=200, deadline=None)
 @given(product_cases())
 def test_dot_products_match_matmul_oracles_bit_for_bit(case):
-    # hsd_exact, overlap_exact, povm_probabilities and the estimator form their
-    # small products with ndarray.dot; the oracles form them with @
+    # hsd_exact, overlap_exact and the estimator form their small products
+    # with ndarray.dot; the oracles form them with @.  The probabilities
+    # agree with the joint state's, and the identity configuration is certain.
     a, b, shots, seed, key = case
     for x, y in ((a, b), (b, a), (a, a)):
         assert _hex(hsd_exact(x, y)) == _hex(oracles.hsd_exact(x, y))
         assert _hex(overlap_exact(x, y)) == _hex(oracles.overlap_exact(x, y))
         probs = povm_probabilities(x, y)
-        assert _hex(probs) == _hex(oracles.povm_probabilities(x, y))
+        assert np.abs(probs - joint_state_probabilities(x, y)).max() <= 1e-14
+        assert probs[0] == 1.0
         for mode in NOISE_MODES:
             noise = NoiseModel(mode, shots, seed)
             counts = _draw_counts(probs, noise, key)
@@ -500,10 +482,50 @@ def test_stream_key_entries_must_be_integers():
         assert measure_overlap(a, b, noise, numpy_key) == measure_overlap(a, b, noise, key)
 
 
-def test_povm_functional_qubit_range():
+def _check_identity_configuration(a, b, shots, seed, key):
+    """p_II is exactly 1 for (a, b), (b, a) and (a, a): exact mode counts
+    f_II = shots, and binomial noise draws configuration 0's count from no
+    stream (no Generator is seeded with its state)."""
+    seeded = []
+
+    class RecordingSeed(interferometry._hashed_seed_type()):
+        def __init__(self, state):
+            seeded.append(state.tolist())
+            super().__init__(state)
+
+    first = np.random.SeedSequence([seed, *key, 0]).generate_state(4, np.uint64).tolist()
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert povm_probabilities(x, y)[0] == 1.0
+        assert measure_overlap(x, y, NoiseModel("exact", shots, seed), key).counts[0] == shots
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(interferometry, "_hashed_seed_type", lambda: RecordingSeed)
+            est = measure_overlap(x, y, NoiseModel("binomial", shots, seed), key)
+        assert est.counts[0] == shots and first not in seeded
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_cases())
+def test_identity_configuration_is_certain(case):
+    _check_identity_configuration(*case)
+
+
+def test_identity_configuration_is_certain_under_a_tracer():
+    # fresh states, so their coordinates are computed under the tracer too
+    u = np.array([0.05, -0.0, 0.0, 0.02, 0.0, -0.03, 0.0, 0.01, -0.0, 0.0, 0.04, 0.0, 0.0, -0.02, 0.0])
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        a = DensityMatrix(encode(u).matrix)
+        b = pure_state([0.6, 0.0, 0.8j, -0.0])
+        _check_identity_configuration(a, b, 1000, 2 ** 40, (3, 2 ** 33))
+    finally:
+        sys.settrace(previous)
+
+
+def test_povm_weights_qubit_range():
     for n in (0, MAX_QUBITS + 1):
         with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
-            _povm_functional(n)
+            _povm_weights(n)
 
 
 def test_estimate_overlap_arithmetic():

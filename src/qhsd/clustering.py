@@ -126,8 +126,10 @@ def kmeans(
     row raises StateError, and under the hsd backends (which encode without
     validating) encoding.check_encodable raises EncodingError for a row
     that encodes outside the state space; rows count from 0.  That check
-    builds every point's matrix in one batch and leaves the states in
-    encode's memo, so the assign loop's encode calls find them."""
+    builds every point's matrix in one batch, and each iteration's
+    centroids are checked and built in one more; the run holds those states,
+    so the assign loop's encode calls find them in encode's memo, and
+    releases them when it returns."""
     points = np.asarray(points, dtype=float)
     k = check_integer(k, "k", 1)
     max_iter = check_integer(max_iter, "max_iter", 1)
@@ -138,8 +140,9 @@ def kmeans(
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise StateError(f"point row {bad[0]} is not finite: {points[bad[0]].tolist()}")
-    if backend.kind != "euclidean":
-        check_encodable(points)
+    hsd = backend.kind != "euclidean"
+    # states held so that assign's encode(u, validate=False) calls find them by their bytes
+    point_states = check_encodable(points) if hsd else None
     patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))
     centroids = _init_centroids(points, k, rng)
@@ -147,6 +150,7 @@ def kmeans(
     labels = None
     stable = 0
     for it in range(max_iter):
+        centroid_states = check_encodable(centroids) if hsd else None
         new_labels, dists = assign(points, centroids, backend, it)
         cost = float(dists[np.arange(points.shape[0]), new_labels].sum())
         if labels is not None and np.array_equal(labels, new_labels):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
+import weakref
 from functools import lru_cache
 from typing import List, Sequence
 
@@ -76,15 +76,11 @@ def _matrices(u: np.ndarray) -> np.ndarray:
     return maximally_mixed(2 ** n).matrix + np.einsum("...i,ijk->...jk", u, generator_basis(n))
 
 
-# Encoded states kept for recently seen vectors, keyed by their float64 bytes
-# and evicted least recently used.  check_encodable stores every row of the
-# batch it checks, so k-means builds its whole point set's matrices in one
-# call, and each iteration's centroids once; the per-pair encode calls then
-# hit.  This bound holds the 1000-point demo and every iteration's centroids.
-# Full, it retains about 1 MiB for 1-qubit points, 13 MiB for 4-qubit (16x16)
-# states.
-ENCODE_CACHE_SIZE = 2048
-_MEMO: OrderedDict[bytes, DensityMatrix] = OrderedDict()
+# Encoded states keyed by their vector's float64 bytes, each kept only while
+# something else holds it (as interferometry keeps its Pauli coordinates).
+# check_encodable returns the states of the batch it checks; k-means holds
+# them, so the per-pair encode calls of its assign loop find them here.
+_MEMO: weakref.WeakValueDictionary[bytes, DensityMatrix] = weakref.WeakValueDictionary()
 
 
 def _encode_rows(points: np.ndarray, validate: bool) -> List[DensityMatrix]:
@@ -105,35 +101,34 @@ def _encode_rows(points: np.ndarray, validate: bool) -> List[DensityMatrix]:
     states = []
     for u, mat in zip(points, m):
         key = u.tobytes()
-        rho = _MEMO.pop(key, None) or DensityMatrix(mat)
-        _MEMO[key] = rho  # (re)inserted last: most recently used
+        rho = _MEMO.get(key)
+        if rho is None:
+            rho = _MEMO[key] = DensityMatrix(mat)
         states.append(rho)
-    while len(_MEMO) > ENCODE_CACHE_SIZE:
-        _MEMO.popitem(last=False)
     return states
 
 
-def check_encodable(points: np.ndarray) -> None:
+def check_encodable(points: np.ndarray) -> List[DensityMatrix]:
     """Raise EncodingError for the first row u of `points` whose encode(u)
     is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
     the matrix is not finite (one batched eigendecomposition covers the rest).
-    Once every row passes, each row's state goes into encode's memo, so the
-    matrices of a point set are built in this one batch.  An array that is
-    not 2-D raises StateError, as in kmeans."""
+    Once every row passes, return the rows' states, built in this one batch
+    and kept in encode's memo for as long as the caller holds them.  An
+    array that is not 2-D raises StateError, as in kmeans."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise StateError(f"expected a (points, features) array, got shape {points.shape}")
-    _encode_rows(points, validate=True)
+    return _encode_rows(points, validate=True)
 
 
 def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i.
 
     With validate=True, u is checked as check_encodable(u[None]) checks it,
-    on every call.  A vector with the same float64 bytes as one of the last
-    ENCODE_CACHE_SIZE (2048) encoded or checked (least recently used goes
-    first) gets that one's shared, read-only DensityMatrix back, so k-means
-    on up to ~2000 points builds each point's matrix once per run.
+    on every call.  A vector with the same float64 bytes as an encoded or
+    checked one whose state is still held somewhere gets that shared,
+    read-only DensityMatrix back, so k-means, which holds its points' and
+    centroids' states, builds each matrix once per run.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
@@ -142,7 +137,6 @@ def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
     rho = _MEMO.get(key)
     if rho is None or validate:
         return _encode_rows(u[None], validate)[0]
-    _MEMO.move_to_end(key)
     return rho
 
 

@@ -161,11 +161,8 @@ def test_two_qubit_exact_kmeans_matches_euclidean(data_seed, init_seed):
     assert r_euc.iterations == r_hsd.iterations
 
 
-def test_encode_memo_holds_the_demo_point_set(monkeypatch):
-    # The points are built once per run, in the batch that checks them, and
-    # each iteration's centroids once, not each point once per iteration.
-    points = two_gaussian_demo(1000, seed=0)
-    encoding._MEMO.clear()
+def _built_rows(monkeypatch):
+    """The row count of every batch encoding._matrices builds from now on."""
     built = []
     matrices = encoding._matrices
 
@@ -174,9 +171,34 @@ def test_encode_memo_holds_the_demo_point_set(monkeypatch):
         return matrices(u)
 
     monkeypatch.setattr(encoding, "_matrices", counting)
+    return built
+
+
+def test_encode_memo_holds_the_demo_point_set(monkeypatch):
+    # The points are built once per run, in the batch that checks them, and
+    # each iteration's centroids once, in one batch, not each point once per
+    # iteration.
+    points = two_gaussian_demo(1000, seed=0)
+    encoding._MEMO.clear()
+    built = _built_rows(monkeypatch)
     result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
-    assert built[0] == 1000 and set(built[1:]) == {1}
+    assert built[0] == 1000 and set(built[1:]) == {2}
     assert sum(built) <= 1000 + 2 * result.iterations
+
+
+@pytest.mark.parametrize("backend, max_iter", [
+    (ExactHsdBackend(), 100),
+    (SimulatedHsdBackend(NoiseModel("binomial", 1000, 0)), 2),
+], ids=["hsd_exact", "hsd_simulated"])
+def test_kmeans_builds_a_large_point_set_once(monkeypatch, backend, max_iter):
+    # Above any fixed memo size: 3000 points are built once per run and each
+    # iteration's centroids once, and the memo keeps none of them after it.
+    points = two_gaussian_demo(3000, seed=1)
+    built = _built_rows(monkeypatch)
+    result = kmeans(points, 2, init_seed=0, max_iter=max_iter, backend=backend)
+    assert built == [3000] + [2] * result.iterations
+    rows = np.vstack([points, *result.centroid_trace])
+    assert not any(u.tobytes() in encoding._MEMO for u in rows)
 
 
 def test_two_gaussian_demo_properties():

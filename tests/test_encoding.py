@@ -1,5 +1,7 @@
+import gc
 import itertools
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import strategies as st
 
 from qhsd import encoding
 from qhsd.encoding import (
-    ENCODE_CACHE_SIZE,
     EncodingError,
     _n_qubits_for_length,
     check_encodable,
@@ -332,24 +333,47 @@ def test_encode_validates_after_unvalidated_hit():
 
 
 def test_encode_cache_stays_bounded():
-    for x in np.linspace(-0.1, 0.1, 10 * ENCODE_CACHE_SIZE):
+    # the memo keeps no state alive: it holds what its callers hold, however
+    # many vectors pass through it
+    gc.collect()
+    before = len(encoding._MEMO)
+    xs = np.linspace(-0.1, 0.1, 4096)
+    for x in xs:
         encode([x, 0.0, 0.0])
-        assert len(encoding._MEMO) <= ENCODE_CACHE_SIZE
-    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
-    # a checked batch larger than the bound is stored and trimmed too
-    check_encodable(np.linspace(-0.1, 0.1, 3 * ENCODE_CACHE_SIZE)[:, None] * [0.0, 1.0, 0.0])
-    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
+        assert len(encoding._MEMO) <= before
+    # a checked batch is stored only while its returned states are held
+    stack = xs[:, None] * [0.0, 1.0, 0.0]
+    held = check_encodable(stack)
+    assert len(encoding._MEMO) == before + len(xs)
+    state = weakref.ref(held[0])
+    del held
+    gc.collect()
+    # the entry goes with its state's last reference
+    assert state() is None
+    assert len(encoding._MEMO) == before
+    assert not any(u.tobytes() in encoding._MEMO for u in stack)
 
 
 def test_encode_memo_evicts_least_recently_used():
-    first = encode([0.3, 0.0, 0.0])
-    xs = np.linspace(-0.1, 0.1, 2 * ENCODE_CACHE_SIZE)
+    u = np.array([0.3, 0.0, 0.0])
+    held = check_encodable(np.array([u, -u]))
+    first = encode(u)
+    assert first is held[0]
+    del held
+    xs = np.linspace(-0.1, 0.1, 4096)
     for x in xs:
         encode([0.0, 0.0, x])
-        # a hit refreshes its entry, so a vector used every step stays
-        assert encode([0.3, 0.0, 0.0], validate=False) is first
-    assert len(encoding._MEMO) == ENCODE_CACHE_SIZE
+        # while the state is held, an unvalidated encode finds it by its bytes
+        assert encode(u.copy(), validate=False) is first
+    # the vectors nothing holds are gone, the checked -u among them
+    gc.collect()
     assert np.array([0.0, 0.0, xs[0]]).tobytes() not in encoding._MEMO
+    assert (-u).tobytes() not in encoding._MEMO
+    state = weakref.ref(first)
+    del first
+    gc.collect()
+    assert state() is None
+    assert u.tobytes() not in encoding._MEMO
 
 
 @pytest.mark.parametrize("u", [
@@ -397,9 +421,10 @@ def _check_batch_memo(points):
             check_encodable(points)
         assert list(encoding._MEMO.items()) == before  # a refused batch stores nothing
         return
-    check_encodable(points)
-    for u, m in zip(points, expected):
+    states = check_encodable(points)  # held: the memo keeps a state only while it is held
+    for u, m, held in zip(points, expected, states):
         rho = encoding._MEMO[u.tobytes()]
+        assert rho is held
         assert rho.matrix.tobytes() == m.tobytes()  # bit for bit, signed zeros included
         assert encode(u, validate=False) is rho
 

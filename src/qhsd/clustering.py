@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.encoding import check_encodable, encode
+from qhsd.encoding import check_encodable, encode, feature_array
 from qhsd.interferometry import NoiseModel, measure_hsd
 from qhsd.states import StateError, check_integer, hsd_exact
 
@@ -36,7 +36,7 @@ class ExactHsdBackend:
     kind = "hsd_exact"
 
     def distance_sq(self, u: np.ndarray, v: np.ndarray, key: Sequence[int] = ()) -> float:
-        return hsd_exact(encode(u, validate=False), encode(v, validate=False)) ** 2
+        return hsd_exact(encode(u), encode(v)) ** 2
 
 
 class SimulatedHsdBackend:
@@ -51,7 +51,7 @@ class SimulatedHsdBackend:
         self.noise = noise
 
     def distance_sq(self, u: np.ndarray, v: np.ndarray, key: Sequence[int] = ()) -> float:
-        m = measure_hsd(encode(u, validate=False), encode(v, validate=False), self.noise, key)
+        m = measure_hsd(encode(u), encode(v), self.noise, key)
         return m.d2
 
 
@@ -122,26 +122,25 @@ def kmeans(
     labels stop changing (for 3 consecutive passes under the noisy
     hsd_simulated backend) or max_iter is reached.
 
-    Before any distance, a points array that is not 2-D or has a non-finite
-    row raises StateError, and under the hsd backends (which encode without
-    validating) encoding.check_encodable raises EncodingError for a row
-    that encodes outside the state space; rows count from 0.  That check
-    builds every point's matrix in one batch, and each iteration's
-    centroids are checked and built in one more; the run holds those states,
-    so the assign loop's encode calls find them in encode's memo, and
-    releases them when it returns."""
-    points = np.asarray(points, dtype=float)
+    Before any distance, points that encoding.feature_array refuses (not
+    a real 2-D array) or that have a non-finite row raise StateError, and
+    under the hsd backends encoding.check_encodable raises EncodingError
+    for a row that encodes outside the state space; rows count from 0.
+    That check builds every point's state in one batch, and each
+    iteration's centroids are checked and built in one more.  Only that
+    check builds the states encode returns, and the run holds them, so the
+    assign loop's encode calls find them in encode's memo with no second
+    check; they are released when kmeans returns."""
     k = check_integer(k, "k", 1)
     max_iter = check_integer(max_iter, "max_iter", 1)
     if backend is None:
         backend = EuclideanBackend()
-    if points.ndim != 2:
-        raise StateError(f"expected a (points, features) array, got shape {points.shape}")
+    points = feature_array(points, 2)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise StateError(f"point row {bad[0]} is not finite: {points[bad[0]].tolist()}")
     hsd = backend.kind != "euclidean"
-    # states held so that assign's encode(u, validate=False) calls find them by their bytes
+    # checked states held so that assign's encode calls find them by their bytes
     point_states = check_encodable(points) if hsd else None
     patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))

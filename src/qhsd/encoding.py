@@ -78,26 +78,47 @@ def _matrices(u: np.ndarray) -> np.ndarray:
 
 # Encoded states keyed by their vector's float64 bytes, each kept only while
 # something else holds it (as interferometry keeps its Pauli coordinates).
-# check_encodable returns the states of the batch it checks; k-means holds
-# them, so the per-pair encode calls of its assign loop find them here.
+# Only check_encodable stores here, so every state in the memo is checked;
+# k-means holds the states it returns, so the per-pair encode calls of its
+# assign loop find them here.
 _MEMO: weakref.WeakValueDictionary[bytes, DensityMatrix] = weakref.WeakValueDictionary()
 
+_SHAPES = {1: "a feature vector", 2: "a (points, features) array"}
 
-def _encode_rows(points: np.ndarray, validate: bool) -> List[DensityMatrix]:
-    """The state of every row of a float64 stack, each stored in the memo.
-    With validate, the first row that is not a state raises EncodingError
-    and nothing is stored."""
+
+def feature_array(x, ndim: int) -> np.ndarray:
+    """x as a float64 feature vector (ndim 1) or (points, features) stack
+    (ndim 2).  Any other shape raises StateError, and so does complex input,
+    whose imaginary part a float conversion would drop."""
+    x = np.asarray(x)
+    if x.dtype != float:
+        if x.dtype.kind == "c":
+            raise StateError(f"expected real features, got dtype {x.dtype}")
+        x = x.astype(float)
+    if x.ndim != ndim:
+        raise StateError(f"expected {_SHAPES[ndim]}, got shape {x.shape}")
+    return x
+
+
+def check_encodable(points) -> List[DensityMatrix]:
+    """Raise EncodingError for the first row u of `points` whose encode(u)
+    is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
+    the matrix is not finite (one batched eigendecomposition covers the rest).
+    Once every row passes, return the rows' states, built in this one batch
+    and kept in encode's memo for as long as the caller holds them; a
+    refused batch stores nothing.  Input that feature_array refuses raises
+    StateError, as in kmeans."""
+    points = feature_array(points, 2)
     m = _matrices(points)
-    if validate:
-        finite = np.isfinite(m).all(axis=(1, 2))
-        lam = np.full(m.shape[0], np.nan)
-        lam[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
-        bad = np.flatnonzero(~(lam >= EIGENVALUE_TOL))
-        if bad.size:
-            raise EncodingError(
-                f"point row {bad[0]} encodes outside the state space: "
-                f"min eigenvalue {lam[bad[0]]:.3e}"
-            )
+    finite = np.isfinite(m).all(axis=(1, 2))
+    lam = np.full(m.shape[0], np.nan)
+    lam[finite] = np.linalg.eigvalsh(m[finite])[:, 0]
+    bad = np.flatnonzero(~(lam >= EIGENVALUE_TOL))
+    if bad.size:
+        raise EncodingError(
+            f"point row {bad[0]} encodes outside the state space: "
+            f"min eigenvalue {lam[bad[0]]:.3e}"
+        )
     states = []
     for u, mat in zip(points, m):
         key = u.tobytes()
@@ -108,36 +129,17 @@ def _encode_rows(points: np.ndarray, validate: bool) -> List[DensityMatrix]:
     return states
 
 
-def check_encodable(points: np.ndarray) -> List[DensityMatrix]:
-    """Raise EncodingError for the first row u of `points` whose encode(u)
-    is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
-    the matrix is not finite (one batched eigendecomposition covers the rest).
-    Once every row passes, return the rows' states, built in this one batch
-    and kept in encode's memo for as long as the caller holds them.  An
-    array that is not 2-D raises StateError, as in kmeans."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise StateError(f"expected a (points, features) array, got shape {points.shape}")
-    return _encode_rows(points, validate=True)
+def encode(u: Sequence[float]) -> DensityMatrix:
+    """rho = I/D + sum_i u_i G_i, checked as check_encodable(u[None]) checks it.
 
-
-def encode(u: Sequence[float], validate: bool = True) -> DensityMatrix:
-    """rho = I/D + sum_i u_i G_i.
-
-    With validate=True, u is checked as check_encodable(u[None]) checks it,
-    on every call.  A vector with the same float64 bytes as an encoded or
-    checked one whose state is still held somewhere gets that shared,
-    read-only DensityMatrix back, so k-means, which holds its points' and
-    centroids' states, builds each matrix once per run.
+    A vector with the same float64 bytes as a checked one whose state is
+    still held somewhere gets that shared, read-only DensityMatrix back
+    without a second check, so k-means, which holds its points' and
+    centroids' states, builds and checks each matrix once per run.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
-        raise StateError(f"expected a feature vector, got shape {u.shape}")
-    key = u.tobytes()
-    rho = _MEMO.get(key)
-    if rho is None or validate:
-        return _encode_rows(u[None], validate)[0]
-    return rho
+    u = feature_array(u, 1)
+    rho = _MEMO.get(u.tobytes())
+    return check_encodable(u[None])[0] if rho is None else rho
 
 
 def decode(rho: DensityMatrix) -> np.ndarray:

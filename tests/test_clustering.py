@@ -301,3 +301,12 @@ def test_kmeans_checks_points(monkeypatch, kind, row):
         with pytest.raises(EncodingError, match=r"^point row 1 encodes outside the state space: "):
             kmeans(points, 2, backend=backend)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["hsd_exact", "hsd_simulated"])
+def test_hsd_backends_refuse_a_point_outside_the_state_space(kind):
+    # outside kmeans nothing has checked the point first, and encode checks it
+    backend = make_backend(kind, NoiseModel("binomial", 1000, seed=0))
+    for u, v in (([0.9, 0.0, 0.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.9, 0.0, 0.0])):
+        with pytest.raises(EncodingError, match=r"^point row 0 encodes outside the state space: "):
+            backend.distance_sq(np.array(u), np.array(v), (0, 0, 0))

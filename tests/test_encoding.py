@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhsd import encoding
+from qhsd.clustering import kmeans
 from qhsd.encoding import (
     EncodingError,
     _n_qubits_for_length,
@@ -93,7 +94,7 @@ def test_encode_origin_and_surface():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_encode_origin_is_maximally_mixed_bit_for_bit(n):
-    origin = encode(np.zeros(4 ** n - 1), validate=False)
+    origin = encode(np.zeros(4 ** n - 1))
     assert origin.matrix.tobytes() == maximally_mixed(2 ** n).matrix.tobytes()
 
 
@@ -214,19 +215,17 @@ def test_encode_matches_seed_formula(n):
     points[1, ::2] = -0.0
     for u in points:
         expected = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, g)
-        # bit for bit, signed zeros included
-        assert np.array_equal(encode(u, validate=False).matrix.view(np.uint64), expected.view(np.uint64))
+        # bit for bit, signed zeros included, as the one-row batch of encode
+        # builds it; most of these rows encode outside the state space
+        assert np.array_equal(encoding._matrices(u[None])[0].view(np.uint64), expected.view(np.uint64))
 
 
-def _seed_encode(u, validate=True):
-    """encode as it was before the memo: no cache, every call computed."""
+def _seed_encode(u):
+    """The matrix of encode as it was before the memo: no cache, no check."""
     u = np.asarray(u, dtype=float)
     n = _n_qubits_for_length(u.shape[0])
     d = 2 ** n
-    m = np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, generator_basis(n))
-    if validate and np.linalg.eigvalsh(m)[0] < -1e-9:
-        raise EncodingError("vector encodes outside the state space")
-    return m
+    return np.eye(d, dtype=complex) / d + np.einsum("i,ijk->jk", u, generator_basis(n))
 
 
 @st.composite
@@ -250,16 +249,19 @@ def _vectors(draw, n=None):
     order=st.lists(st.integers(0, 5), min_size=1, max_size=40),
 )
 def test_encode_memo_matches_seed_formula(pool, order):
-    # repeats of a few vectors of mixed sizes, interleaved as k-means calls them
+    # repeats of a few vectors of mixed sizes, interleaved as k-means calls
+    # them; the states are held, so a repeat is a memo hit
+    held = []
     for i in order:
         u = pool[i % len(pool)]
-        expected = _seed_encode(u, False)
-        assert encode(u, validate=False).matrix.tobytes() == expected.tobytes()
+        expected = _seed_encode(u)
         if np.linalg.eigvalsh(expected)[0] < -1e-9:
             with pytest.raises(EncodingError):
-                encode(np.array(u))
+                encode(u)
+            assert np.array(u).tobytes() not in encoding._MEMO
         else:
-            assert encode(np.array(u)).matrix.tobytes() == expected.tobytes()
+            held.append(encode(np.array(u)))
+            assert held[-1].matrix.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -324,12 +326,43 @@ def test_encode_returns_shared_read_only_matrix():
     assert encode(-u) is not rho
 
 
-def test_encode_validates_after_unvalidated_hit():
+def test_encode_refuses_an_unencodable_vector_on_every_call():
     u = np.array([0.9, 0.0, 0.0])  # outside the state space
-    assert encode(u, validate=False).matrix.tobytes() == _seed_encode(u, False).tobytes()
-    for _ in range(2):
-        with pytest.raises(EncodingError, match="min eigenvalue"):
+    for _ in range(3):
+        with pytest.raises(EncodingError, match="^point row 0 encodes outside the state space: min eigenvalue"):
             encode(u)
+        assert u.tobytes() not in encoding._MEMO
+
+
+def test_encode_of_a_held_state_is_a_memo_hit_with_no_check(monkeypatch):
+    u = np.array([0.1, -0.2, 0.05])
+    held = encode(u)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for _ in range(3):
+        assert encode(u.copy()) is held
+    assert calls == []
+    encode(-u)  # a miss is checked
+    assert calls == [(1, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda points: encode(points[0]), check_encodable, lambda points: kmeans(points, 1)],
+    ids=["encode", "check_encodable", "kmeans"],
+)
+def test_complex_features_are_refused(entry):
+    # the imaginary part is not dropped with a warning: the input is refused
+    before = len(encoding._MEMO)
+    with pytest.raises(StateError, match="^expected real features, got dtype complex128$"):
+        entry(np.array([[0.1j, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    assert len(encoding._MEMO) == before
 
 
 def test_encode_cache_stays_bounded():
@@ -363,8 +396,8 @@ def test_encode_memo_evicts_least_recently_used():
     xs = np.linspace(-0.1, 0.1, 4096)
     for x in xs:
         encode([0.0, 0.0, x])
-        # while the state is held, an unvalidated encode finds it by its bytes
-        assert encode(u.copy(), validate=False) is first
+        # while the state is held, encode finds it by its bytes
+        assert encode(u.copy()) is first
     # the vectors nothing holds are gone, the checked -u among them
     gc.collect()
     assert np.array([0.0, 0.0, xs[0]]).tobytes() not in encoding._MEMO
@@ -414,7 +447,7 @@ def _repeating_stacks(draw):
 
 
 def _check_batch_memo(points):
-    expected = [_seed_encode(u, False) for u in points]
+    expected = [_seed_encode(u) for u in points]
     before = list(encoding._MEMO.items())
     if any(np.linalg.eigvalsh(m)[0] < -1e-9 for m in expected):
         with pytest.raises(EncodingError):
@@ -426,7 +459,7 @@ def _check_batch_memo(points):
         rho = encoding._MEMO[u.tobytes()]
         assert rho is held
         assert rho.matrix.tobytes() == m.tobytes()  # bit for bit, signed zeros included
-        assert encode(u, validate=False) is rho
+        assert encode(u) is rho
 
 
 @settings(max_examples=80, deadline=None)

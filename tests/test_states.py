@@ -145,14 +145,15 @@ def _seed_formula_pairs():
     rng = np.random.default_rng(11)
     pairs = [(random_mixed(dim, rng), random_mixed(dim, rng)) for dim in (2, 4, 8, 16) * 25]
     pairs += [(make_werner(p), make_werner(q)) for p in (0.0, 0.3, 1.0) for q in (0.0, 0.3, 1.0)]
+    # most of these encode outside the state space, so they are built unchecked
     for u, v in rng.uniform(-0.3, 0.3, (100, 2, 15)):
-        pairs.append((encode(u, validate=False), encode(v, validate=False)))
+        pairs.append((DensityMatrix(encoding._matrices(u)), DensityMatrix(encoding._matrices(v))))
     # 1-qubit pairs as k-means sees them: demo points against every centroid
     # of an exact run, and each point against itself (a zero difference).
     points = two_gaussian_demo(200, seed=0)
     result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
-    states = [encode(u, validate=False) for u in points]
-    centroids = [encode(c, validate=False) for cs in result.centroid_trace for c in cs]
+    states = [encode(u) for u in points]
+    centroids = [encode(c) for cs in result.centroid_trace for c in cs]
     pairs += [(a, c) for a in states for c in centroids]
     pairs += [(a, a) for a in states]
     return pairs

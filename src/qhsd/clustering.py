@@ -75,9 +75,10 @@ class KMeansResult:
 
 
 def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
-    """Nearest-centroid labels; ties go to the lowest centroid index."""
-    points = np.asarray(points, dtype=float)
-    centroids = list(np.asarray(centroids, dtype=float))
+    """Nearest-centroid labels; ties go to the lowest centroid index.
+    Points and centroids are read by encoding.feature_array."""
+    points = feature_array(points, 2)
+    centroids = list(feature_array(centroids, 2))
     dists = np.empty((points.shape[0], len(centroids)))
     for i, point in enumerate(points):
         for j, centroid in enumerate(centroids):
@@ -88,9 +89,10 @@ def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
 
 def update_centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Means of the assigned points.  An empty cluster is re-seeded to the
-    point farthest (euclidean) from that cluster's current centroid."""
-    points = np.asarray(points, dtype=float)
-    centroids = np.array(centroids, dtype=float)
+    point farthest (euclidean) from that cluster's current centroid.
+    Points and centroids are read by encoding.feature_array."""
+    points = feature_array(points, 2)
+    centroids = feature_array(centroids, 2).copy()
     for j in range(centroids.shape[0]):
         mask = labels == j
         if mask.any():

@@ -92,10 +92,27 @@ class OverlapEstimate:
     """
 
     value: float
-    std_error: float
     clamped: bool
     counts: Tuple[float, ...]
     noise: NoiseModel
+
+    @property
+    def std_error(self) -> float:
+        """First-order propagated error of `value` (0.0 in exact mode, else
+        binomial or Poisson count variances), computed from `counts` and
+        `noise` each time it is read."""
+        if self.noise.mode == "exact":
+            return 0.0
+        rates, f0, wrest, acc = _weighted_counts(np.array(self.counts))
+        # elementwise terms on Python floats, with the IEEE operations numpy
+        # would do: squares as x * x, since Python's ** goes through libm pow
+        var = rates  # a Poisson count's variance is its mean
+        if self.noise.mode == "binomial":
+            # a binomial count lies in 0..shots, so c / shots needs no clip to [0, 1]
+            shots = self.noise.shots
+            var = [shots * (c / shots) * (1.0 - c / shots) for c in rates]
+        sq = [(w / f0) * (w / f0) for w in wrest.tolist()]
+        return math.sqrt(float(np.dot(sq, var[1:])) + (acc / f0 ** 2) ** 2 * var[0])
 
     def named_counts(self) -> Dict[str, float]:
         """{f_<letters>: count} for every configuration, one I or S per
@@ -298,33 +315,28 @@ def _draw_counts(
     return np.array(draws, dtype=float)
 
 
+def _weighted_counts(counts: np.ndarray) -> Tuple[List[float], float, np.ndarray, float]:
+    """(rates, f_II, wrest, acc): the counts as Python floats, the first of
+    them, the estimator weights of the others and their weighted sum."""
+    rates = counts.tolist()
+    wrest = _config_weights(len(rates).bit_length() - 1)[1:]
+    return rates, rates[0], wrest, float(wrest.dot(counts[1:]))
+
+
 def _estimate(
     counts: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
-    """Overlap and first-order-propagated uncertainty from the coincidence
-    counts of one overlap, counted under `noise` on stream `stream_key`."""
-    rates = counts.tolist()
-    f0 = rates[0]
+    """Overlap value from the coincidence counts of one overlap, counted
+    under `noise` on stream `stream_key`; its std_error is computed from
+    the counts when read."""
+    rates, f0, _, acc = _weighted_counts(counts)
     if f0 <= 0:
         key = tuple(int(k) for k in stream_key)
         raise EstimationError(
             f"f_II = 0 at stream key {key}: cannot normalize the overlap estimate"
         )
-    wrest = _config_weights(len(rates).bit_length() - 1)[1:]
-    acc = float(wrest.dot(counts[1:]))
     value = 1.0 + acc / f0
-    err = 0.0
-    if noise.mode != "exact":
-        # elementwise terms on Python floats, with the IEEE operations numpy
-        # would do: squares as x * x, since Python's ** goes through libm pow
-        var = rates  # a Poisson count's variance is its mean
-        if noise.mode == "binomial":
-            # a binomial count lies in 0..shots, so c / shots needs no clip to [0, 1]
-            var = [noise.shots * (c / noise.shots) * (1.0 - c / noise.shots) for c in rates]
-        sq = [(w / f0) * (w / f0) for w in wrest.tolist()]
-        var_value = float(np.dot(sq, var[1:])) + (acc / f0 ** 2) ** 2 * var[0]
-        err = math.sqrt(var_value)
-    return OverlapEstimate(value, err, not 0.0 <= value <= 1.0, tuple(rates), noise)
+    return OverlapEstimate(value, not 0.0 <= value <= 1.0, tuple(rates), noise)
 
 
 def measure_overlap(
@@ -344,9 +356,15 @@ class HsdMeasurement:
 
     value: float
     d2: float
-    d2_std_error: float
     clamped: bool
     overlaps: Tuple[OverlapEstimate, OverlapEstimate, OverlapEstimate]
+
+    @property
+    def d2_std_error(self) -> float:
+        """First-order error of d2 from the three overlaps' std_error,
+        computed each time it is read."""
+        e11, e22, e12 = (o.std_error for o in self.overlaps)
+        return math.sqrt(e11 ** 2 + e22 ** 2 + 4.0 * e12 ** 2)
 
 
 def measure_hsd(
@@ -357,8 +375,7 @@ def measure_hsd(
     o22 = measure_overlap(rho2, rho2, noise, (*stream_key, 1))
     o12 = measure_overlap(rho1, rho2, noise, (*stream_key, 2))
     value, d2, clamped = hsd_from_overlaps(o11.value, o22.value, o12.value)
-    d2_err = math.sqrt(o11.std_error ** 2 + o22.std_error ** 2 + 4.0 * o12.std_error ** 2)
-    return HsdMeasurement(value, d2, d2_err, clamped, (o11, o22, o12))
+    return HsdMeasurement(value, d2, clamped, (o11, o22, o12))
 
 
 def plan_measurements(n_qubits: int, method: str) -> int:

@@ -76,6 +76,19 @@ def test_update_centroids_empty_cluster_reseeds_farthest():
     assert np.array_equal(centroids, [[0.05, 0.0], [0.0, 0.0]])  # input left unchanged
 
 
+@pytest.mark.parametrize("entry", [
+    lambda points, centroids: assign(points, centroids, ExactHsdBackend(), 0),
+    lambda points, centroids: update_centroids(points, np.array([0]), centroids),
+], ids=["assign", "update_centroids"])
+@pytest.mark.parametrize("complex_side", ["points", "centroids"])
+def test_complex_features_are_refused_by_assign_and_update(entry, complex_side):
+    # a float conversion would drop 0.1j and return distance 0.0 or a zero centroid
+    real, imaginary = np.array([[0.0, 0.0, 0.0]]), np.array([[0.1j, 0.0, 0.0]])
+    points, centroids = (imaginary, real) if complex_side == "points" else (real, imaginary)
+    with pytest.raises(StateError, match="^expected real features, got dtype complex128$"):
+        entry(points, centroids)
+
+
 def test_centroid_means_stay_encodable():
     points = two_gaussian_demo(200, seed=1)
     result = kmeans(points, 2, init_seed=1)

@@ -701,6 +701,78 @@ def test_std_error_tracks_empirical_spread():
     assert np.std(vals) == pytest.approx(np.mean(errs), rel=0.15)
 
 
+class _ErrorComputed(Exception):
+    pass
+
+
+def test_discarding_paths_never_compute_an_error(monkeypatch, tmp_path):
+    # simulated k-means and the binomial grids read d2 only, so they must
+    # never reach the std_error computation
+    from qhsd import cli
+    from qhsd.clustering import SimulatedHsdBackend, kmeans, two_gaussian_demo
+
+    backend = SimulatedHsdBackend(NoiseModel("binomial", 1000, 0))
+    u, v = np.array([0.1, -0.2, 0.05]), np.array([-0.1, 0.15, 0.0])
+    points = two_gaussian_demo(12, seed=1)
+
+    def outputs(out_dir):
+        d2 = backend.distance_sq(u, v, (0, 1, 2))
+        result = kmeans(points, 2, max_iter=4, backend=backend)
+        argv = ["reproduce", "werner_grid", "--noise", "binomial", "--shots", "1000"]
+        assert cli.main([*argv, "--out-dir", str(out_dir)]) == 0
+        return (
+            d2.hex(), result.labels.tolist(), result.centroids.tobytes(), result.cost.hex(),
+            (out_dir / "werner_grid.csv").read_bytes(),
+        )
+
+    def refuse(self):
+        raise _ErrorComputed
+
+    before = outputs(tmp_path / "before")
+    monkeypatch.setattr(interferometry.OverlapEstimate, "std_error", property(refuse))
+    assert outputs(tmp_path / "after") == before
+    m = measure_hsd(encode(u), encode(v), NoiseModel("binomial", 1000, 0))
+    with pytest.raises(_ErrorComputed):
+        m.overlaps[2].std_error
+    with pytest.raises(_ErrorComputed):
+        m.d2_std_error
+
+
+def _checked_error_bits(shots):
+    """hex of every overlap's std_error and of d2_std_error, 1 to 4 qubits
+    in each noise mode, each checked against the oracle formulas."""
+    rng = np.random.default_rng(29)
+    bits = []
+    for n in range(1, MAX_QUBITS + 1):
+        a, b = random_mixed(2 ** n, rng), random_mixed(2 ** n, rng)
+        for mode in NOISE_MODES:
+            m = measure_hsd(a, b, NoiseModel(mode, shots, n), (n,))
+            errors = [estimate_overlap(o.counts, shots, mode)[1] for o in m.overlaps]
+            assert _hex([o.std_error for o in m.overlaps]) == _hex(errors)
+            e11, e22, e12 = errors
+            d2_err = math.sqrt(e11 ** 2 + e22 ** 2 + 4.0 * e12 ** 2)
+            assert m.d2_std_error.hex() == d2_err.hex()
+            assert (mode == "exact") == (d2_err == 0.0)
+            bits.append(_hex([*errors, d2_err]))
+    return bits
+
+
+@pytest.mark.parametrize("shots", [1000, 100_000])
+def test_errors_keep_their_bits_under_a_tracer(shots):
+    # both errors are computed when read: read warm, then with a tracer
+    # (which keeps CPython from specialising its float operations), they
+    # keep the bits of the oracle formulas
+    warm = _checked_error_bits(shots)
+    assert _checked_error_bits(shots) == warm
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        traced = _checked_error_bits(shots)
+    finally:
+        sys.settrace(previous)
+    assert traced == warm
+
+
 def test_shot_scaling_minus_half():
     a, b = make_werner(0.4), make_werner(0.8)
     shot_grid = [1000, 10_000, 100_000]

@@ -4,6 +4,8 @@ measurement simulation, Bloch-vector data encoding and k-means clustering."""
 from qhsd.states import (
     BellKind,
     DensityMatrix,
+    decode,
+    generator_basis,
     hsd_exact,
     hsd_from_overlaps,
     make_bell,
@@ -14,7 +16,7 @@ from qhsd.states import (
     overlap_exact,
     purity,
 )
-from qhsd.encoding import decode, encode, generator_basis, safe_radius
+from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import NoiseModel, measure_hsd
 from qhsd.clustering import kmeans
 

@@ -74,11 +74,19 @@ class KMeansResult:
     centroid_trace: Tuple[np.ndarray, ...]
 
 
+def _fitting_centroids(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # StateError unless there is a centroid and it has the points' feature count
+    if centroids.shape[0] == 0 or centroids.shape[1] != points.shape[1]:
+        raise StateError(f"centroids of shape {centroids.shape} do not fit points of shape {points.shape}")
+    return centroids
+
+
 def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
     """Nearest-centroid labels; ties go to the lowest centroid index.
-    Points and centroids are read by encoding.feature_array."""
+    Points and centroids are read by encoding.feature_array; centroids that
+    are none or have another feature count than the points raise StateError."""
     points = feature_array(points, 2)
-    centroids = list(feature_array(centroids, 2))
+    centroids = list(_fitting_centroids(points, feature_array(centroids, 2)))
     dists = np.empty((points.shape[0], len(centroids)))
     for i, point in enumerate(points):
         for j, centroid in enumerate(centroids):
@@ -90,9 +98,12 @@ def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
 def update_centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Means of the assigned points.  An empty cluster is re-seeded to the
     point farthest (euclidean) from that cluster's current centroid.
-    Points and centroids are read by encoding.feature_array."""
+    Points and centroids are read and checked as in assign, and labels
+    other than one per point raise StateError."""
     points = feature_array(points, 2)
-    centroids = feature_array(centroids, 2).copy()
+    centroids = _fitting_centroids(points, feature_array(centroids, 2)).copy()
+    if np.shape(labels) != points.shape[:1]:
+        raise StateError(f"labels of shape {np.shape(labels)} do not fit points of shape {points.shape}")
     for j in range(centroids.shape[0]):
         mask = labels == j
         if mask.any():

@@ -1,61 +1,27 @@
 """Map classical feature vectors of length D^2 - 1 onto density matrices.
 
-The generators are tensor-product Pauli strings rescaled so that
-Tr(Gi Gj) = 2 delta_ij for every qubit count.  With that normalization the
-Hilbert-Schmidt distance between two encoded states is exactly sqrt(2) times
-the Euclidean distance between the underlying vectors, which is what lets
-k-means run on density matrices unchanged.
+The generators (states.generator_basis) are tensor-product Pauli strings
+rescaled so that Tr(Gi Gj) = 2 delta_ij for every qubit count.  With that
+normalization the Hilbert-Schmidt distance between two encoded states is
+exactly sqrt(2) times the Euclidean distance between the underlying vectors,
+which is what lets k-means run on density matrices unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
-from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
 
-from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_integer, check_n_qubits, maximally_mixed
+from qhsd.states import EIGENVALUE_TOL, DensityMatrix, StateError, check_integer, generator_basis, maximally_mixed
 
 
 class EncodingError(ValueError):
     """Encoding produced a matrix outside the positive-semidefinite set."""
 
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def generator_basis(n_qubits: int) -> np.ndarray:
-    """The read-only (D^2 - 1, D, D) stack of Pauli strings over n qubits
-    (identity string excluded), lexicographic in the letters I < X < Y < Z,
-    scaled by 1/sqrt(2^(n-1)).  Cached per integer n, checked first."""
-    return _generator_basis(check_n_qubits(n_qubits))
-
-
-@lru_cache(maxsize=None)
-def _generator_basis(n_qubits: int) -> np.ndarray:
-    scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
-    mats = []
-    for letters in itertools.product("IXYZ", repeat=n_qubits):
-        if all(c == "I" for c in letters):
-            continue
-        g = np.array([[1.0 + 0j]])
-        for c in letters:
-            g = np.kron(g, _PAULI[c])
-        mats.append(scale * g)
-    stack = np.array(mats)
-    stack.setflags(write=False)
-    return stack
-
-
-@lru_cache(maxsize=None)
 def _n_qubits_for_length(length: int) -> int:
     d = math.isqrt(length + 1)
     if d * d - 1 != length or d < 2 or (d & (d - 1)) != 0:
@@ -77,10 +43,9 @@ def _matrices(u: np.ndarray) -> np.ndarray:
 
 
 # Encoded states keyed by their vector's float64 bytes, each kept only while
-# something else holds it (as interferometry keeps its Pauli coordinates).
-# Only check_encodable stores here, so every state in the memo is checked;
-# k-means holds the states it returns, so the per-pair encode calls of its
-# assign loop find them here.
+# something else holds it.  Only check_encodable stores here, so every state
+# in the memo is checked; k-means holds the states it returns, so the
+# per-pair encode calls of its assign loop find them here.
 _MEMO: weakref.WeakValueDictionary[bytes, DensityMatrix] = weakref.WeakValueDictionary()
 
 _SHAPES = {1: "a feature vector", 2: "a (points, features) array"}
@@ -140,9 +105,4 @@ def encode(u: Sequence[float]) -> DensityMatrix:
     u = feature_array(u, 1)
     rho = _MEMO.get(u.tobytes())
     return check_encodable(u[None])[0] if rho is None else rho
-
-
-def decode(rho: DensityMatrix) -> np.ndarray:
-    """Inverse of encode: u_i = Tr(rho G_i) / 2."""
-    return np.real(np.einsum("jk,ikj->i", rho.matrix, generator_basis(rho.n_qubits))) / 2.0
 

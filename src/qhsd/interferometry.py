@@ -19,8 +19,8 @@ SWAP = 1/2 sum_P P (x) P, so configuration c with singlet set S_c has
     p_c = 4^-|S_c| sum_{a : supp(a) in S_c} (-1)^|supp(a)| r1_a r2_a,
 
 one fixed weight table per qubit count applied to r1 * r2.  No joint state
-is formed.  Each live state's coordinates are computed once and dropped
-with it.
+is formed.  Each state computes its coordinates once, on first read, and
+keeps them (DensityMatrix.pauli_coordinates).
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.encoding import decode
 from qhsd.states import (
     MAX_QUBITS,
     DensityMatrix,
@@ -133,7 +131,7 @@ def _configs(n: int) -> List[Tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _povm_weights(n: int) -> np.ndarray:
     """W of shape (2^n, 4^n) such that configuration c has probability
-    W[c] . (r1 * r2), r the Pauli coordinates of each state (_coordinates).
+    W[c] . (r1 * r2), r the Pauli coordinates of each state (pauli_coordinates).
     Photon k contributes [1, 0, 0, 0] (identity) or [1, -1, -1, -1] / 4
     (singlet) over its qubit's letters I, X, Y, Z, and W is their Kronecker
     product, photon A and qubit 0 highest in both indices.  Every entry is
@@ -146,27 +144,11 @@ def _povm_weights(n: int) -> np.ndarray:
     return w
 
 
-# Pauli coordinates of each live state, read-only; an entry lives as long as
-# its state, so the dictionary needs no size bound.
-_COORDINATES = weakref.WeakKeyDictionary()
-
-
-def _coordinates(rho: DensityMatrix) -> np.ndarray:
-    """(1, sqrt(2D) decode(rho)): Tr(rho P_a) over the 4^n Pauli strings in
-    generator_basis order, the identity string first."""
-    r = _COORDINATES.get(rho)
-    if r is None:
-        r = np.concatenate(([1.0], math.sqrt(2 * rho.dim) * decode(rho)))
-        r.setflags(write=False)
-        _COORDINATES[rho] = r
-    return r
-
-
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n configurations of two n-qubit states, in
     configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
     check_same_dim(rho1, rho2)
-    return _povm_weights(rho1.n_qubits).dot(_coordinates(rho1) * _coordinates(rho2))
+    return _povm_weights(rho1.n_qubits).dot(rho1.pauli_coordinates * rho2.pauli_coordinates)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Density matrices for small qubit systems and the Hilbert-Schmidt distance.
+"""Density matrices for small qubit systems, their Pauli basis and
+coordinates, and the Hilbert-Schmidt distance.
 
 Everything downstream (encoding, measurement simulation, clustering) treats
 this module as the exact ground truth.
@@ -7,10 +8,11 @@ this module as the exact ground truth.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -62,6 +64,37 @@ def check_n_qubits(n: int) -> int:
     if not 1 <= n <= MAX_QUBITS:
         raise StateError(f"n_qubits={n} outside supported range 1..{MAX_QUBITS}")
     return n
+
+
+_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def generator_basis(n_qubits: int) -> np.ndarray:
+    """The read-only (D^2 - 1, D, D) stack of Pauli strings over n qubits
+    (identity string excluded), lexicographic in the letters I < X < Y < Z,
+    scaled by 1/sqrt(2^(n-1)).  Cached per integer n, checked first."""
+    return _generator_basis(check_n_qubits(n_qubits))
+
+
+@lru_cache(maxsize=None)
+def _generator_basis(n_qubits: int) -> np.ndarray:
+    scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
+    mats = []
+    for letters in itertools.product("IXYZ", repeat=n_qubits):
+        if all(c == "I" for c in letters):
+            continue
+        g = np.array([[1.0 + 0j]])
+        for c in letters:
+            g = np.kron(g, _PAULI[c])
+        mats.append(scale * g)
+    stack = np.array(mats)
+    stack.setflags(write=False)
+    return stack
 
 
 def _check_qubit_dim(d: int) -> None:
@@ -116,6 +149,21 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
+
+    @cached_property
+    def pauli_coordinates(self) -> np.ndarray:
+        """(1, sqrt(2D) decode(self)): Tr(rho P_a) over the 4^n Pauli strings
+        in generator_basis order, the identity string first.  Read-only,
+        computed on first read and kept in the instance __dict__, which
+        cached_property writes directly, so the frozen dataclass allows it."""
+        r = np.concatenate(([1.0], math.sqrt(2 * self.dim) * decode(self)))
+        r.setflags(write=False)
+        return r
+
+
+def decode(rho: DensityMatrix) -> np.ndarray:
+    """Inverse of encoding.encode: u_i = Tr(rho G_i) / 2."""
+    return np.real(np.einsum("jk,ikj->i", rho.matrix, generator_basis(rho.n_qubits))) / 2.0
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:

@@ -7,7 +7,7 @@ with `pytest -s tests/test_acceptance.py` to see them).
 import numpy as np
 
 from qhsd.clustering import EuclideanBackend, ExactHsdBackend, SimulatedHsdBackend, kmeans, two_gaussian_demo
-from qhsd.encoding import decode, encode, safe_radius
+from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import (
     NoiseModel,
     measure_hsd,
@@ -16,6 +16,7 @@ from qhsd.interferometry import (
 )
 from qhsd.states import (
     BellKind,
+    decode,
     hsd_exact,
     make_bell,
     make_horodecki,

@@ -89,6 +89,29 @@ def test_complex_features_are_refused_by_assign_and_update(entry, complex_side):
         entry(points, centroids)
 
 
+@pytest.mark.parametrize("backend", [EuclideanBackend(), ExactHsdBackend()], ids=lambda b: b.kind)
+@pytest.mark.parametrize("centroids", [np.zeros((2, 2)), np.zeros((2, 8)), np.zeros((0, 3))],
+                         ids=["fewer_features", "more_features", "none"])
+def test_assign_refuses_centroids_that_do_not_fit_the_points(centroids, backend):
+    # no broadcast ValueError, argmin of an empty sequence or encoding error
+    message = f"centroids of shape {centroids.shape} do not fit points of shape (3, 3)"
+    with pytest.raises(StateError, match="^" + re.escape(message) + "$"):
+        assign(np.zeros((3, 3)), centroids, backend, 0)
+
+
+@pytest.mark.parametrize("labels, centroids, message", [
+    ([0, 1], np.zeros((2, 3)), "labels of shape (2,) do not fit points of shape (3, 3)"),
+    ([0, 0, 1, 1], np.zeros((2, 3)), "labels of shape (4,) do not fit points of shape (3, 3)"),
+    ([[0, 0, 1]], np.zeros((2, 3)), "labels of shape (1, 3) do not fit points of shape (3, 3)"),
+    ([0, 0, 1], np.zeros((2, 2)), "centroids of shape (2, 2) do not fit points of shape (3, 3)"),
+    ([0, 0, 0], np.zeros((0, 3)), "centroids of shape (0, 3) do not fit points of shape (3, 3)"),
+], ids=["fewer_labels", "more_labels", "2d_labels", "fewer_features", "no_centroids"])
+def test_update_centroids_refuses_shapes_that_do_not_fit_the_points(labels, centroids, message):
+    # a length mismatch was an IndexError, which the CLI maps to no exit code
+    with pytest.raises(StateError, match="^" + re.escape(message) + "$"):
+        update_centroids(np.zeros((3, 3)), np.array(labels), centroids)
+
+
 def test_centroid_means_stay_encodable():
     points = two_gaussian_demo(200, seed=1)
     result = kmeans(points, 2, init_seed=1)

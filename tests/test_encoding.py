@@ -8,18 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhsd import encoding
+from qhsd import encoding, states
 from qhsd.clustering import kmeans
 from qhsd.encoding import (
     EncodingError,
     _n_qubits_for_length,
     check_encodable,
-    decode,
     encode,
-    generator_basis,
     safe_radius,
 )
-from qhsd.states import BellKind, StateError, hsd_exact, make_bell, maximally_mixed, purity
+from qhsd.states import (
+    BellKind,
+    StateError,
+    decode,
+    generator_basis,
+    hsd_exact,
+    make_bell,
+    maximally_mixed,
+    purity,
+)
 
 from oracles import random_mixed
 
@@ -69,7 +76,7 @@ def test_generator_count_and_ordering():
 def test_generator_basis_refuses_non_integer_sizes(warm):
     # the size is taken as an integer before the cache, so a float is refused
     # whatever the cache holds, and a numpy integer shares the int's entry
-    encoding._generator_basis.cache_clear()
+    states._generator_basis.cache_clear()
     if warm:
         assert generator_basis(np.int64(2)) is generator_basis(2)
     for n in (2.0, np.float64(2.0), 1.5, "2"):

@@ -109,3 +109,46 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     code = "import sys, qhsd.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def qhsd_imports(source: str):
+    """The qhsd modules a module's source imports, at any depth:
+    `import qhsd.x`, `from qhsd.x import ...` and `from qhsd import x`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("qhsd.")}
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("qhsd"):
+            if node.module == "qhsd":
+                found |= {a.name for a in node.names}
+            else:
+                found.add(node.module.split(".")[1])
+    return found
+
+
+def test_package_layers():
+    # states <- {encoding, interferometry} <- clustering <- cli: the exact
+    # linear algebra stands alone, and the measurement model does not need
+    # the machine-learning encoding
+    layers = {
+        p.stem: qhsd_imports(p.read_text())
+        for p in SOURCES if p.parent.name == "qhsd" and p.stem != "__init__"
+    }
+    assert layers == {
+        "states": set(),
+        "encoding": {"states"},
+        "interferometry": {"states"},
+        "clustering": {"encoding", "interferometry", "states"},
+        "cli": {"clustering", "interferometry", "states"},
+    }
+
+
+def test_layer_scan_reads_every_import_form():
+    source = (
+        "import qhsd.states, numpy\n"
+        "from qhsd import encoding\n"
+        "from qhsd.interferometry import NoiseModel\n"
+        "def f():\n"
+        "    from qhsd.clustering import kmeans\n"
+    )
+    assert qhsd_imports(source) == {"states", "encoding", "interferometry", "clustering"}

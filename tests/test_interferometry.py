@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from qhsd import interferometry
-from qhsd.encoding import decode, encode, safe_radius
+from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import (
-    _COORDINATES,
     NOISE_MODES,
     EstimationError,
     NoiseModel,
@@ -37,6 +36,7 @@ from qhsd.states import (
     BellKind,
     DensityMatrix,
     StateError,
+    decode,
     hsd_exact,
     make_bell,
     make_separable,
@@ -372,35 +372,56 @@ def _pauli_coordinates(rho):
 @settings(max_examples=150, deadline=None)
 @given(overlap_cases())
 def test_coordinates_are_kept_per_state(case):
-    # a state's Pauli coordinates are computed on its first overlap and
-    # reused after it; a fresh state with the same matrix misses the
-    # dictionary, and every outcome agrees bit for bit
+    # a state's Pauli coordinates are computed on their first read, by its
+    # first overlap, and kept by the state; a fresh state with the same
+    # matrix computes its own, and every outcome agrees bit for bit
     a, _, noise, key = case
     first = _overlap_outcome(a, noise, key)
-    assert a in _COORDINATES
+    assert "pauli_coordinates" in vars(a)
+    kept = a.pauli_coordinates
     assert _overlap_outcome(a, noise, key) == first
-    assert _overlap_outcome(DensityMatrix(a.matrix), noise, key) == first
-    assert _hex(_COORDINATES[a]) == _hex(_pauli_coordinates(a))
+    assert a.pauli_coordinates is kept
+    fresh = DensityMatrix(a.matrix)
+    assert "pauli_coordinates" not in vars(fresh)
+    assert _overlap_outcome(fresh, noise, key) == first
+    assert _hex(kept) == _hex(_pauli_coordinates(a))
+
+
+def _checked_coordinate_bits(rho):
+    """The bits of rho.pauli_coordinates, checked to be one read-only array
+    that the caller's decode and probabilities do not share."""
+    probs = povm_probabilities(rho, rho)
+    kept = rho.pauli_coordinates
+    assert rho.pauli_coordinates is kept
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0.5
+    fresh = decode(rho)
+    assert fresh.flags.writeable and not np.shares_memory(fresh, kept)
+    assert probs.flags.writeable and not np.shares_memory(probs, kept)
+    fresh[0] = probs[0] = 0.5  # the caller's copies; the state keeps its own
+    return _hex(kept)
 
 
 def test_coordinates_are_read_only_and_private():
-    rho = random_mixed(4, np.random.default_rng(3))
-    probs = povm_probabilities(rho, rho)
-    cached = _COORDINATES[rho]
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0] = 0.5
-    fresh = decode(rho)
-    assert fresh.flags.writeable and not np.shares_memory(fresh, cached)
-    assert probs.flags.writeable and not np.shares_memory(probs, cached)
-    fresh[0] = probs[0] = 0.5  # the caller's copies; the dictionary keeps its own
-    assert _hex(cached) == _hex(_pauli_coordinates(rho))
+    # at 1-4 qubits, warm and under a tracer, the kept coordinates are
+    # (1, sqrt(2D) decode(rho)) bit for bit
+    rhos = [random_mixed(2 ** n, np.random.default_rng(3)) for n in range(1, MAX_QUBITS + 1)]
+    warm = [_checked_coordinate_bits(rho) for rho in rhos]
+    assert warm == [_hex(_pauli_coordinates(rho)) for rho in rhos]
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        traced = [_checked_coordinate_bits(DensityMatrix(rho.matrix)) for rho in rhos]
+    finally:
+        sys.settrace(previous)
+    assert traced == warm
 
 
 def test_coordinates_go_with_their_state():
     rho = random_mixed(8, np.random.default_rng(4))
     measure_overlap(rho, rho, NoiseModel("exact", 1000, 0))
-    state, coords = weakref.ref(rho), weakref.ref(_COORDINATES[rho])
+    state, coords = weakref.ref(rho), weakref.ref(rho.pauli_coordinates)
     del rho
     gc.collect()
     assert state() is None and coords() is None

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 
 from qhsd import encoding
 from qhsd.clustering import ExactHsdBackend, kmeans, two_gaussian_demo
-from qhsd.encoding import encode, generator_basis
+from qhsd.encoding import encode
 from qhsd.interferometry import plan_measurements
 from qhsd.states import (
     MAX_QUBITS,
     BellKind,
     DensityMatrix,
     StateError,
+    _generator_basis,
     _maximally_mixed,
     _real_trace,
     check_integer,
     check_n_qubits,
+    generator_basis,
     hsd_exact,
     hsd_from_overlaps,
     make_bell,
@@ -330,7 +332,7 @@ def test_sizes_refuse_bools(warm, flag):
     # operator.index reads a bool as 0 or 1, and True hashes as the cache key 1;
     # every size check refuses a bool before any cache is consulted
     _maximally_mixed.cache_clear()
-    encoding._generator_basis.cache_clear()
+    _generator_basis.cache_clear()
     if warm:
         assert generator_basis(np.int64(1)) is generator_basis(1)
         assert maximally_mixed(np.int64(2)) is maximally_mixed(2)

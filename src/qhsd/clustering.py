@@ -98,13 +98,26 @@ def assign(points: np.ndarray, centroids: np.ndarray, backend, iteration: int):
 def update_centroids(points: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Means of the assigned points.  An empty cluster is re-seeded to the
     point farthest (euclidean) from that cluster's current centroid.
-    Points and centroids are read and checked as in assign, and labels
-    other than one per point raise StateError."""
+    Points and centroids are read and checked as in assign.  Labels are
+    read with np.asarray; labels other than one per point, or not integers
+    of 0..k-1 in an integer dtype (bools included), raise StateError."""
     points = feature_array(points, 2)
     centroids = _fitting_centroids(points, feature_array(centroids, 2)).copy()
-    if np.shape(labels) != points.shape[:1]:
-        raise StateError(f"labels of shape {np.shape(labels)} do not fit points of shape {points.shape}")
-    for j in range(centroids.shape[0]):
+    labels = np.asarray(labels)
+    if labels.shape != points.shape[:1]:
+        raise StateError(f"labels of shape {labels.shape} do not fit points of shape {points.shape}")
+    k = centroids.shape[0]
+    # every label of a non-integer dtype is bad, so no comparison sees strings or objects
+    bad = (
+        np.flatnonzero((labels < 0) | (labels >= k))
+        if np.issubdtype(labels.dtype, np.integer)
+        else np.arange(labels.size)
+    )
+    if bad.size:
+        raise StateError(
+            f"label {bad[0]} is {labels.tolist()[bad[0]]!r}, not a cluster index in 0..{k - 1} of integer dtype"
+        )
+    for j in range(k):
         mask = labels == j
         if mask.any():
             centroids[j] = points[mask].mean(axis=0)

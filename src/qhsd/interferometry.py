@@ -25,12 +25,11 @@ keeps them (DensityMatrix.pauli_coordinates).
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +100,10 @@ class OverlapEstimate:
         `noise` each time it is read."""
         if self.noise.mode == "exact":
             return 0.0
-        rates, f0, wrest, acc = _weighted_counts(np.array(self.counts))
+        counts = np.array(self.counts)
+        rates = counts.tolist()
+        f0, wrest = rates[0], _configurations(len(rates).bit_length() - 1)[2][1:]
+        acc = float(wrest.dot(counts[1:]))
         # elementwise terms on Python floats, with the IEEE operations numpy
         # would do: squares as x * x, since Python's ** goes through libm pow
         var = rates  # a Poisson count's variance is its mean
@@ -115,48 +117,40 @@ class OverlapEstimate:
     def named_counts(self) -> Dict[str, float]:
         """{f_<letters>: count} for every configuration, one I or S per
         photon, photon A first: f_SI has the singlet on photon A."""
-        n = len(self.counts).bit_length() - 1
-        return {
-            "f_" + "".join("IS"[bit] for bit in cfg): count
-            for cfg, count in zip(_configs(n), self.counts)
-        }
-
-
-def _configs(n: int) -> List[Tuple[int, ...]]:
-    """All identity/singlet choices per photon; 1 = singlet.  Binary counting
-    order, so (0,...,0) comes first."""
-    return list(itertools.product((0, 1), repeat=n))
+        names = _configurations(len(self.counts).bit_length() - 1)[0]
+        return {"f_" + name: count for name, count in zip(names, self.counts)}
 
 
 @lru_cache(maxsize=None)
-def _povm_weights(n: int) -> np.ndarray:
-    """W of shape (2^n, 4^n) such that configuration c has probability
-    W[c] . (r1 * r2), r the Pauli coordinates of each state (pauli_coordinates).
-    Photon k contributes [1, 0, 0, 0] (identity) or [1, -1, -1, -1] / 4
-    (singlet) over its qubit's letters I, X, Y, Z, and W is their Kronecker
-    product, photon A and qubit 0 highest in both indices.  Every entry is
-    0 or +-4^-m, so row 0 picks r1_0 * r2_0 = 1 exactly."""
+def _configurations(n: int) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+    """(names, W, weights) of the 2^n configurations of n photons, in
+    configuration order (see OverlapEstimate), built photon by photon with
+    photon A highest.  Photon k takes the identity (I) or the singlet (S):
+    - its name gains "I" or "S";
+    - W, of shape (2^n, 4^n), gains by Kronecker product the row [1, 0, 0, 0]
+      or [1, -1, -1, -1] / 4 over its qubit's letters I, X, Y, Z, so that
+      configuration c has probability W[c] . (r1 * r2), r the Pauli
+      coordinates of each state (pauli_coordinates);
+    - its estimator weight gains the factor 1 or -2, so that configuration c
+      weighs (-2)^(number of singlets).
+    Every entry of W is 0 or +-4^-m, so row 0 picks r1_0 * r2_0 = 1 exactly,
+    and every weight is an exact power of two."""
     check_n_qubits(n)
-    w = np.ones((1, 1))
+    names, w, weights = ("",), np.ones((1, 1)), np.ones(1)
     for _ in range(n):
+        names = tuple(name + letter for name in names for letter in "IS")
         w = np.kron(w, [[1.0, 0.0, 0.0, 0.0], [0.25, -0.25, -0.25, -0.25]])
+        weights = np.kron(weights, [1.0, -2.0])
     w.setflags(write=False)
-    return w
+    weights.setflags(write=False)
+    return names, w, weights
 
 
 def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
     """Probabilities of the 2^n configurations of two n-qubit states, in
     configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
     check_same_dim(rho1, rho2)
-    return _povm_weights(rho1.n_qubits).dot(rho1.pauli_coordinates * rho2.pauli_coordinates)
-
-
-@lru_cache(maxsize=None)
-def _config_weights(n: int) -> np.ndarray:
-    """Estimator weights (-2)^(number of singlet projections)."""
-    w = np.array([(-2.0) ** sum(cfg) for cfg in _configs(n)])
-    w.setflags(write=False)
-    return w
+    return _configurations(rho1.n_qubits)[1].dot(rho1.pauli_coordinates * rho2.pauli_coordinates)
 
 
 def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
@@ -297,27 +291,20 @@ def _draw_counts(
     return np.array(draws, dtype=float)
 
 
-def _weighted_counts(counts: np.ndarray) -> Tuple[List[float], float, np.ndarray, float]:
-    """(rates, f_II, wrest, acc): the counts as Python floats, the first of
-    them, the estimator weights of the others and their weighted sum."""
-    rates = counts.tolist()
-    wrest = _config_weights(len(rates).bit_length() - 1)[1:]
-    return rates, rates[0], wrest, float(wrest.dot(counts[1:]))
-
-
 def _estimate(
     counts: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
     """Overlap value from the coincidence counts of one overlap, counted
     under `noise` on stream `stream_key`; its std_error is computed from
     the counts when read."""
-    rates, f0, _, acc = _weighted_counts(counts)
+    rates = counts.tolist()
+    f0, wrest = rates[0], _configurations(len(rates).bit_length() - 1)[2][1:]
     if f0 <= 0:
         key = tuple(int(k) for k in stream_key)
         raise EstimationError(
             f"f_II = 0 at stream key {key}: cannot normalize the overlap estimate"
         )
-    value = 1.0 + acc / f0
+    value = 1.0 + float(wrest.dot(counts[1:])) / f0
     return OverlapEstimate(value, not 0.0 <= value <= 1.0, tuple(rates), noise)
 
 

@@ -58,6 +58,9 @@ def _probes():
     for backend in ("euclidean", "hsd_exact", "hsd_simulated"):
         probes.append(["cluster", "points.csv", "--k", "2", "--backend", backend,
                        "--noise", "binomial", "--shots", "500", "--out-dir", "out"])
+    # k-means under Poisson noise, where the identity configuration draws its stream
+    probes.append(["cluster", "points.csv", "--k", "2", "--backend", "hsd_simulated",
+                   "--noise", "poisson", "--shots", "500", "--out-dir", "out"])
     probes.append(["reproduce", "clusters_demo", "--seed", "0", "--out-dir", "out"])
     probes.append(["reproduce", "werner_grid", "--noise", "binomial", "--shots", "1000",
                    "--seed", "0", "--out-dir", "out"])

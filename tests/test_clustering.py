@@ -112,6 +112,28 @@ def test_update_centroids_refuses_shapes_that_do_not_fit_the_points(labels, cent
         update_centroids(np.zeros((3, 3)), np.array(labels), centroids)
 
 
+def test_update_centroids_reads_a_list_of_labels_as_an_array():
+    # a list made labels == j one bool, which has no .any()
+    points, centroids = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.4]]), np.zeros((2, 2))
+    out = update_centroids(points, [0, 0, 1], centroids)
+    assert np.array_equal(out, update_centroids(points, np.array([0, 0, 1]), centroids))
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([0, 0, 7]), "label 2 is 7,"),
+    ([0, -1, 1], "label 1 is -1,"),
+    ([0.0, 0.5, 1.0], "label 0 is 0.0,"),
+    ([True, False, True], "label 0 is True,"),
+    (np.array(["0", "0", "1"]), "label 0 is '0',"),
+], ids=["above_k", "negative", "float", "bool", "str"])
+def test_update_centroids_refuses_labels_that_are_not_cluster_indices(labels, message):
+    # each of these passed: out-of-range labels dropped points from every
+    # mean, and bools were read as cluster indices
+    message += " not a cluster index in 0..1 of integer dtype"
+    with pytest.raises(StateError, match="^" + re.escape(message) + "$"):
+        update_centroids(np.zeros((3, 3)), labels, np.zeros((2, 3)))
+
+
 def test_centroid_means_stay_encodable():
     points = two_gaussian_demo(200, seed=1)
     result = kmeans(points, 2, init_seed=1)
@@ -195,6 +217,21 @@ def test_two_qubit_exact_kmeans_matches_euclidean(data_seed, init_seed):
     r_hsd = kmeans(points, 2, init_seed=init_seed, backend=ExactHsdBackend())
     assert np.array_equal(r_euc.labels, r_hsd.labels)
     assert r_euc.iterations == r_hsd.iterations
+
+
+def test_two_qubit_simulated_kmeans_agrees_with_exact():
+    # The paper's setting under shot noise.  The streams are keyed by
+    # iteration, so boundary labels keep flipping and this run stops at
+    # max_iter = 100 rather than converging, until streams are keyed by
+    # (point, centroid) alone.
+    points = two_qubit_blobs(195, seed=0)
+    r_exact = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
+    backend = SimulatedHsdBackend(NoiseModel("binomial", 100_000, 0))
+    r_sim = kmeans(points, 2, init_seed=0, backend=backend)
+    agree = max(
+        np.mean(r_exact.labels == r_sim.labels), np.mean(r_exact.labels == 1 - r_sim.labels)
+    )
+    assert agree >= 0.98
 
 
 def _built_rows(monkeypatch):

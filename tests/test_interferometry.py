@@ -17,12 +17,12 @@ from qhsd.interferometry import (
     NOISE_MODES,
     EstimationError,
     NoiseModel,
+    _configurations,
     _draw_counts,
     _MIX_L,
     _estimate,
     _last_word_terms,
     _pool_states,
-    _povm_weights,
     _stream_state,
     _stream_states,
     _stream_words,
@@ -355,6 +355,66 @@ def test_measure_overlap_counts_and_estimate(case):
     assert est.clamped == (not 0.0 <= value <= 1.0)
 
 
+def _check_stream_contract(n, seed, key):
+    """measure_overlap's counts under both stochastic modes, for pairs of
+    n-qubit states whose probabilities include 0, 1, tiny values, a negative
+    one clipped to 0 (at n = 3) and values in between: configuration c's count is the draw of the stream
+    default_rng([seed, *key, c]) at its clipped probability p_c, and a
+    certain count (p_c = 0, or p_c = 1 under binomial) is 0 or the shots and
+    draws no stream (no PCG64 is made for it)."""
+    d = 2 ** n
+    rng = np.random.default_rng(n)
+    first, last = pure_state(np.eye(d)[0]), pure_state(np.eye(d)[-1])
+    mixed = random_mixed(d, rng)
+    pure = pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    made = []
+
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    for a, b in [(first, first), (first, last), (first, mixed), (mixed, last), (pure, pure), (mixed, pure)]:
+        probs = [min(max(p, 0.0), 1.0) for p in povm_probabilities(a, b).tolist()]
+        for mode in ("binomial", "poisson"):
+            expected, drawn = [], 0
+            for c, p in enumerate(probs):
+                if p == 0.0 or (mode == "binomial" and p == 1.0):
+                    expected.append(1000.0 if p else 0.0)
+                    continue
+                stream = np.random.default_rng([seed, *key, c])
+                expected.append(float(stream.binomial(1000, p) if mode == "binomial" else stream.poisson(1000 * p)))
+                drawn += 1
+            made.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.random, "PCG64", CountingPCG64)
+                counts = measure_overlap(a, b, NoiseModel(mode, 1000, seed), key).counts
+            assert counts == tuple(expected)
+            assert len(made) == drawn
+
+
+# keys of 1 to 7 words with entries past 2^32: below 4 words and from 4 words on
+_CONTRACT_KEYS = [(0, ()), (7, (2 ** 33,)), (2 ** 40, (3, 2 ** 33, 5)), (1, (2 ** 32, 2 ** 40, 4, 9))]
+
+
+@pytest.mark.parametrize("seed, key", _CONTRACT_KEYS)
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_measure_overlap_counts_follow_the_stream_contract(n, seed, key):
+    _check_stream_contract(n, seed, key)
+
+
+def test_measure_overlap_counts_follow_the_stream_contract_under_a_tracer():
+    # a tracer turns off CPython's specialised integer operations
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        for n in range(1, MAX_QUBITS + 1):
+            for seed, key in _CONTRACT_KEYS:
+                _check_stream_contract(n, seed, key)
+    finally:
+        sys.settrace(previous)
+
+
 def _overlap_outcome(rho, noise, key):
     """Every bit of measure_overlap(rho, rho, ...), or its EstimationError."""
     try:
@@ -546,7 +606,7 @@ def test_identity_configuration_is_certain_under_a_tracer():
 def test_povm_weights_qubit_range():
     for n in (0, MAX_QUBITS + 1):
         with pytest.raises(StateError, match=f"^n_qubits={n} outside supported range 1..4$"):
-            _povm_weights(n)
+            _configurations(n)
 
 
 def test_estimate_overlap_arithmetic():

@@ -139,10 +139,7 @@ def cmd_simulate(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) ->
     m = interferometry.measure_hsd(a, b, noise)
     return {
         "inputs": {"state_a": args.state_a, "state_b": args.state_b, "noise": asdict(noise)},
-        "measurement_plan": {
-            "overlap_povms": interferometry.plan_measurements(a.n_qubits, "overlap"),
-            "tomography_settings": interferometry.plan_measurements(a.n_qubits, "tomography"),
-        },
+        "measurement_plan": interferometry.plan_measurements(a.n_qubits),
         **_simulated_report(m),
     }
 

@@ -101,18 +101,16 @@ class OverlapEstimate:
         if self.noise.mode == "exact":
             return 0.0
         counts = np.array(self.counts)
-        rates = counts.tolist()
-        f0, wrest = rates[0], _configurations(len(rates).bit_length() - 1)[2][1:]
-        acc = float(wrest.dot(counts[1:]))
-        # elementwise terms on Python floats, with the IEEE operations numpy
-        # would do: squares as x * x, since Python's ** goes through libm pow
-        var = rates  # a Poisson count's variance is its mean
+        f0, wrest = counts.item(0), _configurations(len(counts).bit_length() - 1)[2][1:]
+        # -dO/df_II, in Python floats: f_II = 0 raises ZeroDivisionError here
+        slope = float(wrest.dot(counts[1:])) / f0 ** 2
+        var = counts  # a Poisson count's variance is its mean
         if self.noise.mode == "binomial":
-            # a binomial count lies in 0..shots, so c / shots needs no clip to [0, 1]
+            # a binomial count lies in 0..shots, so counts / shots needs no clip to [0, 1]
             shots = self.noise.shots
-            var = [shots * (c / shots) * (1.0 - c / shots) for c in rates]
-        sq = [(w / f0) * (w / f0) for w in wrest.tolist()]
-        return math.sqrt(float(np.dot(sq, var[1:])) + (acc / f0 ** 2) ** 2 * var[0])
+            var = shots * (counts / shots) * (1.0 - counts / shots)
+        sq = (wrest / f0) * (wrest / f0)
+        return math.sqrt(float(sq.dot(var[1:])) + slope ** 2 * var[0])
 
     def named_counts(self) -> Dict[str, float]:
         """{f_<letters>: count} for every configuration, one I or S per
@@ -202,15 +200,15 @@ def _last_word_terms(n_words: int) -> np.ndarray:
 # is 8 such words read as little-endian pairs, so the pool is read twice.
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_HASH_WORDS = [_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)]
-_HASH_H = np.array(_HASH_WORDS, dtype=np.uint32)
+_HASH_H = np.array([_INIT_B * _MULT_B ** i % 2 ** 32 for i in range(9)], dtype=np.uint32)
 _HASH_XOR, _HASH_MULT = _HASH_H[:8], _HASH_H[1:]
 _HASHED_POOL_WORD = np.arange(8) % 4
 
 
 def _pool_states(x: np.ndarray) -> np.ndarray:
     """generate_state(4, np.uint64) of each row of an (n, 8) uint32 stack of
-    4-word pools, each read twice: the hash above, in place."""
+    4-word pools, each read twice, or of one such 8-word row: the hash
+    above, in place.  The one place that hash is written."""
     x ^= _HASH_XOR
     x *= _HASH_MULT
     x ^= x >> 16
@@ -229,10 +227,10 @@ def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
 
 def _stream_state(words: np.ndarray, c: int) -> np.ndarray:
     """SeedSequence([*words, c]).generate_state(4, np.uint64) of configuration
-    c alone, hashed in Python integers: for one stream this is cheaper than
-    _stream_states' table.  Below 4 words c enters the cross-mixing, so
-    it takes its own SeedSequence; from 4 words on, row c of the table is
-    mixed into the pool of `words`."""
+    c alone.  Below 4 words c enters the cross-mixing, so it takes its own
+    SeedSequence; from 4 words on, row c of the table is mixed into the pool
+    of `words` in Python integers, which for one stream is cheaper than
+    _stream_states' array mix.  Either pool is hashed by _pool_states."""
     if len(words) < 4:
         pool = np.random.SeedSequence([*words, c]).pool.tolist()
     else:
@@ -241,11 +239,7 @@ def _stream_state(words: np.ndarray, c: int) -> np.ndarray:
         for word, term in zip(np.random.SeedSequence(words).pool.tolist(), terms):
             x = _MIX_L * word - term & 0xFFFFFFFF
             pool.append(x ^ x >> 16)
-    hashed = []
-    for word, h, m in zip(pool * 2, _HASH_WORDS, _HASH_WORDS[1:]):
-        x = (word ^ h) * m & 0xFFFFFFFF
-        hashed.append(x ^ x >> 16)
-    return np.array(hashed, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    return _pool_states(np.array(pool * 2, dtype=np.uint32))
 
 
 @lru_cache(maxsize=None)
@@ -347,14 +341,10 @@ def measure_hsd(
     return HsdMeasurement(value, d2, clamped, (o11, o22, o12))
 
 
-def plan_measurements(n_qubits: int, method: str) -> int:
-    """POVM-setting count of one distance: 3 overlap configurations with 2^n
+def plan_measurements(n_qubits: int) -> Dict[str, int]:
+    """POVM-setting counts of one distance: 3 overlap configurations with 2^n
     POVMs each, against the 2(D^2 - 1) + 2 settings of two state
     reconstructions."""
     check_n_qubits(n_qubits)
-    if method == "overlap":
-        return 3 * 2 ** n_qubits
-    if method == "tomography":
-        d = 2 ** n_qubits
-        return 2 * (d ** 2 - 1) + 2
-    raise StateError(f"unknown method {method!r}")
+    d = 2 ** n_qubits
+    return {"overlap_povms": 3 * d, "tomography_settings": 2 * (d ** 2 - 1) + 2}

@@ -242,10 +242,12 @@ def purity(a: DensityMatrix) -> float:
 
 
 def hsd_exact(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2])."""
+    """Hilbert-Schmidt distance sqrt(Tr[(a - b)^2]): +0.0 for a trace <= 0
+    (rounding can leave it just below), NaN for a NaN trace."""
     check_same_dim(a, b)
     d = a.matrix - b.matrix
-    return math.sqrt(max(0.0, _real_trace(d.dot(d))))
+    t = _real_trace(d.dot(d))
+    return 0.0 if t <= 0.0 else math.sqrt(t)
 
 
 def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float, bool]:

@@ -123,8 +123,7 @@ def test_criterion_06_error_envelope():
 
 
 def test_criterion_07_measurement_planning():
-    assert plan_measurements(2, "overlap") == 12
-    assert plan_measurements(2, "tomography") == 32
+    assert plan_measurements(2) == {"overlap_povms": 12, "tomography_settings": 32}
     _report("7 measurement planning")
 
 

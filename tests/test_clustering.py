@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from qhsd.clustering import (
 )
 from qhsd.encoding import EncodingError, encode
 from qhsd.interferometry import NoiseModel
-from qhsd.states import StateError
+from qhsd.states import DensityMatrix, StateError, maximally_mixed
 
 from oracles import two_qubit_blobs
 
@@ -272,6 +274,39 @@ def test_kmeans_builds_a_large_point_set_once(monkeypatch, backend, max_iter):
     assert built == [3000] + [2] * result.iterations
     rows = np.vstack([points, *result.centroid_trace])
     assert not any(u.tobytes() in encoding._MEMO for u in rows)
+
+
+def _built_states(monkeypatch):
+    # a weak reference to every DensityMatrix built while the patch holds
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def tracking(self):
+        post_init(self)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", tracking)
+    return built
+
+
+@pytest.mark.parametrize("backend, max_iter", [
+    (ExactHsdBackend(), 100),
+    (SimulatedHsdBackend(NoiseModel("binomial", 1000, 0)), 10),
+], ids=["hsd_exact", "hsd_simulated"])
+def test_kmeans_encodes_each_point_once_and_keeps_no_state(monkeypatch, backend, max_iter):
+    # The encoding contract of a run, counted without the encode memo: N
+    # points are encoded once per run, whatever the iteration count, plus at
+    # most k centroids per iteration, both as _matrices rows and as built
+    # states; and no state built in the run is alive once it has returned.
+    points = two_gaussian_demo(200, seed=0)
+    maximally_mixed(2)  # cached for the process, so built before the run
+    rows, states = _built_rows(monkeypatch), _built_states(monkeypatch)
+    result = kmeans(points, 2, init_seed=0, max_iter=max_iter, backend=backend)
+    assert result.iterations > 1
+    assert len(points) <= sum(rows) <= len(points) + 2 * result.iterations
+    assert len(states) <= len(points) + 2 * result.iterations
+    gc.collect()
+    assert not any(ref() is not None for ref in states)
 
 
 def test_two_gaussian_demo_properties():

@@ -883,19 +883,17 @@ def test_measure_overlap_exact_pure_self_overlap(entries):
 
 
 def test_plan_measurements():
-    assert plan_measurements(1, "overlap") == 6
-    assert plan_measurements(2, "overlap") == 12
-    assert plan_measurements(3, "overlap") == 24
-    assert plan_measurements(2, "tomography") == 32
-    assert plan_measurements(1, "tomography") == 8
-    with pytest.raises(StateError):
-        plan_measurements(2, "oracle")
+    # 3 overlaps of 2^n POVMs, against 2(D^2 - 1) + 2 tomography settings
+    assert plan_measurements(1) == {"overlap_povms": 6, "tomography_settings": 8}
+    assert plan_measurements(2) == {"overlap_povms": 12, "tomography_settings": 32}
+    assert plan_measurements(3) == {"overlap_povms": 24, "tomography_settings": 128}
+    assert list(plan_measurements(4)) == ["overlap_povms", "tomography_settings"]
 
 
 @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
 def test_plan_measurements_qubit_range(n):
     with pytest.raises(StateError, match=f"n_qubits={n} outside supported range 1..{MAX_QUBITS}"):
-        plan_measurements(n, "overlap")
+        plan_measurements(n)
 
 
 def test_povm_probabilities_rejects_non_qubit_dimension():

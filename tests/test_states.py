@@ -131,8 +131,10 @@ def test_hsd_overlap_identity_random():
 
 
 def _seed_hsd_exact(a, b):
+    # the seed formula, except that a NaN trace gives NaN, not max(0.0, nan) = 0.0
     d = a.matrix - b.matrix
-    return float(np.sqrt(max(0.0, np.real(np.trace(d @ d)))))
+    t = np.real(np.trace(d @ d))
+    return float(t if np.isnan(t) else np.sqrt(max(0.0, t)))
 
 
 def _seed_overlap_exact(a, b):
@@ -174,6 +176,14 @@ def test_overlap_exact_matches_seed_formula():
 def test_overlap_exact_of_negative_zeros_is_positive_zero():
     zeros = DensityMatrix(np.full((2, 2), -0.0 - 0.0j))
     assert _bits(overlap_exact(DensityMatrix(np.eye(2, dtype=complex)), zeros)) == _bits(0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_hsd_exact_of_a_nan_trace_is_nan(dim):
+    nan_state = DensityMatrix(np.full((dim, dim), np.nan))
+    for a, b in [(nan_state, maximally_mixed(dim)), (maximally_mixed(dim), nan_state), (nan_state, nan_state)]:
+        assert np.isnan(hsd_exact(a, b))
+        assert np.isnan(overlap_exact(a, b))
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 0.1, -0.1, 1e308, -1e308, np.inf, -np.inf, np.nan]
@@ -339,7 +349,7 @@ def test_sizes_refuse_bools(warm, flag):
     checks = [
         (check_n_qubits, "n_qubits"),
         (generator_basis, "n_qubits"),
-        (lambda n: plan_measurements(n, "overlap"), "n_qubits"),
+        (plan_measurements, "n_qubits"),
         (maximally_mixed, "dim"),
     ]
     for call, name in checks:
@@ -347,7 +357,7 @@ def test_sizes_refuse_bools(warm, flag):
             call(flag)
     assert generator_basis(np.int64(1)) is generator_basis(1)
     assert maximally_mixed(np.int64(2)) is maximally_mixed(2)
-    assert plan_measurements(np.int64(1), "overlap") == 6
+    assert plan_measurements(np.int64(1))["overlap_povms"] == 6
 
 
 _INTEGERS = st.integers(-5, 5)

@@ -10,6 +10,7 @@ interchangeable by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -152,6 +153,8 @@ def kmeans(
     a real 2-D array) or that have a non-finite row raise StateError, and
     under the hsd backends encoding.check_encodable raises EncodingError
     for a row that encodes outside the state space; rows count from 0.
+    Points so large that a squared distance, a centroid or the cost could
+    overflow raise StateError naming the row with the largest |coordinate|.
     That check builds every point's state in one batch, and each
     iteration's centroids are checked and built in one more.  Only that
     check builds the states encode returns, and the run holds them, so the
@@ -171,6 +174,14 @@ def kmeans(
     patience = 3 if backend.kind == "hsd_simulated" else 1
     rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))
     centroids = _init_centroids(points, k, rng)
+    # Every centroid is a point or a mean of points, so no squared distance, centroid
+    # sum or cost exceeds n (diagonal^2 + largest |coordinate|) of the points' bounding
+    # box; Python floats make an overflow of that bound inf, with no RuntimeWarning.
+    lo, hi = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    diagonal = math.hypot(*(h - l for h, l in zip(hi, lo)))
+    if not math.isfinite(len(points) * (diagonal * diagonal + max(map(abs, lo + hi), default=0.0))):
+        row = int(np.abs(points).max(axis=1).argmax())
+        raise StateError(f"point row {row} is too large for k-means: {points[row].tolist()}")
     trace: List[np.ndarray] = [centroids.copy()]
     labels = None
     stable = 0

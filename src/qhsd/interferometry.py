@@ -225,23 +225,6 @@ def _stream_states(words: np.ndarray, n_configs: int) -> np.ndarray:
     return _pool_states(x)
 
 
-def _stream_state(words: np.ndarray, c: int) -> np.ndarray:
-    """SeedSequence([*words, c]).generate_state(4, np.uint64) of configuration
-    c alone.  Below 4 words c enters the cross-mixing, so it takes its own
-    SeedSequence; from 4 words on, row c of the table is mixed into the pool
-    of `words` in Python integers, which for one stream is cheaper than
-    _stream_states' array mix.  Either pool is hashed by _pool_states."""
-    if len(words) < 4:
-        pool = np.random.SeedSequence([*words, c]).pool.tolist()
-    else:
-        pool = []
-        terms = _last_word_terms(len(words))[c].tolist()
-        for word, term in zip(np.random.SeedSequence(words).pool.tolist(), terms):
-            x = _MIX_L * word - term & 0xFFFFFFFF
-            pool.append(x ^ x >> 16)
-    return _pool_states(np.array(pool * 2, dtype=np.uint32))
-
-
 @lru_cache(maxsize=None)
 def _hashed_seed_type() -> type:
     """A minimal ISeedSequence holding the already hashed state words of one
@@ -266,20 +249,24 @@ def _draw_counts(
     if noise.mode == "exact":
         return noise.shots * np.minimum(np.maximum(probs, 0.0), 1.0)
     seed_type, shots, binomial = _hashed_seed_type(), noise.shots, noise.mode == "binomial"
-    # configuration c < 2^MAX_QUBITS is the one last word of stream (*stream_key, c)
-    words = _stream_words(noise.seed, stream_key)
-    # A 1-qubit overlap has two configurations, and below 4 words each stream
-    # needs its own SeedSequence anyway: seed those one by one.  Two-qubit
-    # overlaps draw 3-4 streams, for which the table is cheaper.
-    one_by_one = len(words) < 4 or len(probs) == 2
-    states = None if one_by_one else _stream_states(words, len(probs))
+    # the last word is the configuration slot: c < 2^MAX_QUBITS there gives stream (*stream_key, c)
+    words = _stream_words(noise.seed, (*stream_key, 0))
+    # A 1-qubit overlap draws at most two streams, and below a 4-word prefix c
+    # enters the cross-mixing: seed those one by one.  Two-qubit overlaps
+    # draw 3-4 streams, for which the prefix's table is cheaper.
+    one_by_one = len(words) <= 4 or len(probs) == 2
+    states = None if one_by_one else _stream_states(words[:-1], len(probs))
     draws = []
     for c, p in enumerate(probs.tolist()):
         p = min(max(p, 0.0), 1.0)  # as np.minimum(np.maximum(...)), -0.0 and NaN included
         if p == 0.0 or (binomial and p == 1.0):
             draws.append(shots if p else 0)  # what its stream would draw; an int is never -0.0
             continue
-        state = _stream_state(words, c) if states is None else states[c]
+        if states is None:
+            words[-1] = c
+            state = _pool_states(np.random.SeedSequence(words).pool[_HASHED_POOL_WORD])
+        else:
+            state = states[c]
         rng = np.random.Generator(np.random.PCG64(seed_type(state)))
         draws.append(rng.binomial(shots, p) if binomial else rng.poisson(shots * p))
     return np.array(draws, dtype=float)

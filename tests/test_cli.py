@@ -494,6 +494,7 @@ def test_cluster_k1_centroid_is_mean(tmp_path, capsys):
     ("0.9,0,0", "hsd_exact", 2),
     ("0.9,0,0", "hsd_simulated", 2),
     ("0.9,0,0", "euclidean", 0),
+    ("1e200,0,0", "euclidean", 2),
 ])
 def test_cluster_checks_rows(tmp_path, capsys, row, backend, code):
     path = tmp_path / "points.csv"

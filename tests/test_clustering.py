@@ -411,6 +411,18 @@ def test_kmeans_checks_points(monkeypatch, kind, row):
     assert calls == []
 
 
+def test_kmeans_refuses_points_whose_distances_overflow():
+    # at 1e200 every squared distance between distinct points is inf, so the
+    # argmin would tie to centroid 0: the run is refused before any distance,
+    # while at 1e150 it keeps the unscaled labels
+    geometry = np.array([[1.0, 0.0, 0.0], [0.9, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    labels = kmeans(geometry, 2).labels
+    assert labels.tolist() == [1, 1, 0]
+    assert kmeans(geometry * 1e150, 2).labels.tolist() == labels.tolist()
+    with pytest.raises(StateError, match=r"^point row 0 is too large for k-means: "):
+        kmeans(geometry * 1e200, 2)
+
+
 @pytest.mark.parametrize("kind", ["hsd_exact", "hsd_simulated"])
 def test_hsd_backends_refuse_a_point_outside_the_state_space(kind):
     # outside kmeans nothing has checked the point first, and encode checks it

@@ -227,6 +227,37 @@ def test_stream_states_match_seed_sequence(values, n):
         assert state.tolist() == expected.tolist()
 
 
+def _check_stream_state(values):
+    """The state _draw_counts seeds each stream of [*values, c] with, at 1 to
+    MAX_QUBITS qubits: SeedSequence([*values, c]).generate_state(4, np.uint64),
+    seeded alone (1 qubit, or a prefix under 4 words) or from the table."""
+    seeded = []
+
+    class RecordingSeed(interferometry._hashed_seed_type()):
+        def __init__(self, state):
+            seeded.append(state.tolist())
+            super().__init__(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interferometry, "_hashed_seed_type", lambda: RecordingSeed)
+        for n in range(1, MAX_QUBITS + 1):
+            seeded.clear()
+            _draw_counts(np.full(2 ** n, 0.5), NoiseModel("binomial", 1000, values[0]), values[1:])
+            expected = [np.random.SeedSequence([*values, c]).generate_state(4, np.uint64).tolist() for c in range(2 ** n)]
+            assert seeded == expected
+
+
+def test_stream_state_keeps_its_bits_under_a_tracer():
+    # a tracer turns off CPython's specialised integer operations
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        _check_stream_state([2 ** 40, 5])  # 3 words: every stream seeded alone
+        _check_stream_state([7, 2 ** 40, 3, 1])  # 5 words: alone at 1 qubit, else from the table
+    finally:
+        sys.settrace(previous)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     _SEEDS,

@@ -31,13 +31,12 @@ EXIT_IO = 4
 BELL_ORDER = [kind.value for kind in BellKind]
 SEPARABLE_ORDER = ["00", "11", "01", "10"]
 
-REPRODUCE_TARGETS = (
-    "bell_table",
-    "separable_table",
-    "werner_grid",
-    "werner_horodecki_grid",
-    "clusters_demo",
-)
+# reproduce's targets: a table's state names and factory, a grid's axis headers
+# and second-axis factory (its first axis is Werner).  A factory is named, not
+# held, so each call goes through whatever qhsd.states binds that name to.
+_TABLES = {"bell_table": (BELL_ORDER, "make_bell"), "separable_table": (SEPARABLE_ORDER, "make_separable")}
+_GRIDS = {"werner_grid": (["p_x", "p_y"], "make_werner"), "werner_horodecki_grid": (["p", "q"], "make_horodecki")}
+REPRODUCE_TARGETS = (*_TABLES, *_GRIDS, "clusters_demo")
 
 # The named states whose one parameter an inline `name:value` sets; the
 # others take `name:key=value`.
@@ -230,27 +229,18 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
     os.makedirs(args.out_dir, exist_ok=True)
     target = args.target
     path = os.path.join(args.out_dir, target)
-    if target == "clusters_demo":
-        points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
-        _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points.tolist())
-        _cluster(points, clustering.ExactHsdBackend(), 2, args.seed, 100, args.out_dir)
-    elif target in ("bell_table", "separable_table"):
-        if target == "bell_table":
-            names, mats = BELL_ORDER, [states.make_bell(n) for n in BELL_ORDER]
-        else:
-            names, mats = SEPARABLE_ORDER, [states.make_separable(n) for n in SEPARABLE_ORDER]
+    if target in _TABLES:
+        names, factory = _TABLES[target]
+        mats = [getattr(states, factory)(n) for n in names]
         tables = _pair_tables(mats, mats, lambda a, b: _exact_report(a, b)["d2"], noise)
         for suffix, table in zip(("", "_simulated"), tables):
             rows = [[name] + row for name, row in zip(names, table)]
             _write_csv(f"{path}{suffix}.csv", [""] + names, rows)
-    else:
+    elif target in _GRIDS:
+        header, factory = _GRIDS[target]
         grid = np.linspace(0.0, 1.0, 21)
-        if target == "werner_grid":
-            header, make_b = ["p_x", "p_y"], states.make_werner
-        else:
-            header, make_b = ["p", "q"], states.make_horodecki
         mats_a = [states.make_werner(x) for x in grid]
-        mats_b = [make_b(y) for y in grid]
+        mats_b = [getattr(states, factory)(y) for y in grid]
         tables = _pair_tables(mats_a, mats_b, lambda a, b: states.hsd_exact(a, b) ** 2, noise)
         rows = [
             [x, y] + [table[i][j] for table in tables]
@@ -258,6 +248,10 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
             for j, y in enumerate(grid)
         ]
         _write_csv(f"{path}.csv", header + ["d2", "d2_simulated"][: len(tables)], rows)
+    else:
+        points = clustering.two_gaussian_demo(n_points=1000, seed=args.seed)
+        _write_csv(os.path.join(args.out_dir, "points.csv"), ["x1", "x2", "x3"], points.tolist())
+        _cluster(points, clustering.ExactHsdBackend(), 2, args.seed, 100, args.out_dir)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -11,6 +11,7 @@ interchangeable by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -19,8 +20,6 @@ import numpy as np
 from qhsd.encoding import check_encodable, encode, feature_array
 from qhsd.interferometry import NoiseModel, measure_hsd
 from qhsd.states import StateError, check_integer, hsd_exact
-
-BACKEND_KINDS = ("euclidean", "hsd_exact", "hsd_simulated")
 
 
 class EuclideanBackend:
@@ -52,18 +51,22 @@ class SimulatedHsdBackend:
         self.noise = noise
 
     def distance_sq(self, u: np.ndarray, v: np.ndarray, key: Sequence[int] = ()) -> float:
-        m = measure_hsd(encode(u), encode(v), self.noise, key)
-        return m.d2
+        return measure_hsd(encode(u), encode(v), self.noise, key).d2
+
+
+# kind -> the backend built from a NoiseModel; only hsd_simulated reads it
+_BACKENDS = {
+    "euclidean": lambda noise: EuclideanBackend(),
+    "hsd_exact": lambda noise: ExactHsdBackend(),
+    "hsd_simulated": SimulatedHsdBackend,
+}
+BACKEND_KINDS = tuple(_BACKENDS)
 
 
 def make_backend(kind: str, noise: NoiseModel):
-    if kind == "euclidean":
-        return EuclideanBackend()
-    if kind == "hsd_exact":
-        return ExactHsdBackend()
-    if kind == "hsd_simulated":
-        return SimulatedHsdBackend(noise)
-    raise StateError(f"unknown backend {kind!r}")
+    if kind not in BACKEND_KINDS:  # compared by ==, so an unhashable kind is refused here too
+        raise StateError(f"unknown backend {kind!r}")
+    return _BACKENDS[kind](noise)
 
 
 @dataclass(frozen=True)
@@ -155,11 +158,14 @@ def kmeans(
     for a row that encodes outside the state space; rows count from 0.
     Points so large that a squared distance, a centroid or the cost could
     overflow raise StateError naming the row with the largest |coordinate|.
-    That check builds every point's state in one batch, and each
-    iteration's centroids are checked and built in one more.  Only that
-    check builds the states encode returns, and the run holds them, so the
-    assign loop's encode calls find them in encode's memo with no second
-    check; they are released when kmeans returns."""
+    Distinct points whose bounding-box diagonal squares below
+    sys.float_info.min raise StateError too: every squared distance between
+    them loses bits or flushes to 0.0, and labels would tie to centroid 0.
+    check_encodable builds every point's state in one batch, and each
+    iteration's centroids are checked and built in one more.  Only
+    check_encodable builds the states encode returns, and the run holds
+    them, so the assign loop's encode calls find them in encode's memo with
+    no second check; they are released when kmeans returns."""
     k = check_integer(k, "k", 1)
     max_iter = check_integer(max_iter, "max_iter", 1)
     if backend is None:
@@ -182,6 +188,10 @@ def kmeans(
     if not math.isfinite(len(points) * (diagonal * diagonal + max(map(abs, lo + hi), default=0.0))):
         row = int(np.abs(points).max(axis=1).argmax())
         raise StateError(f"point row {row} is too large for k-means: {points[row].tolist()}")
+    # Nor does any squared distance exceed diagonal^2, so below the smallest normal
+    # float every one has lost bits or flushed to 0.0.
+    if diagonal and diagonal * diagonal < sys.float_info.min:
+        raise StateError(f"points are too close for k-means: their bounding box's diagonal is {diagonal!r}")
     trace: List[np.ndarray] = [centroids.copy()]
     labels = None
     stable = 0
@@ -216,12 +226,9 @@ def two_gaussian_demo(n_points: int = 1000, seed: int = 0) -> np.ndarray:
     sizes = (half, n_points - half)
     out = []
     for c, size in zip(DEMO_CENTERS, sizes):
-        pts = np.empty((size, 3))
-        filled = 0
-        while filled < size:
-            cand = c + DEMO_STD * rng.standard_normal((size - filled, 3))
-            keep = cand[np.linalg.norm(cand, axis=1) <= DEMO_RADIUS]
-            pts[filled : filled + keep.shape[0]] = keep
-            filled += keep.shape[0]
+        pts = np.empty((0, 3))
+        while len(pts) < size:
+            cand = c + DEMO_STD * rng.standard_normal((size - len(pts), 3))
+            pts = np.vstack([pts, cand[np.linalg.norm(cand, axis=1) <= DEMO_RADIUS]])
         out.append(pts)
     return np.vstack(out)

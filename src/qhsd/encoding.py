@@ -69,10 +69,11 @@ def check_encodable(points) -> List[DensityMatrix]:
     """Raise EncodingError for the first row u of `points` whose encode(u)
     is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
     the matrix is not finite (one batched eigendecomposition covers the rest).
-    Once every row passes, return the rows' states, built in this one batch
-    and kept in encode's memo for as long as the caller holds them; a
-    refused batch stores nothing.  Input that feature_array refuses raises
-    StateError, as in kmeans."""
+    Once every row passes, return the rows' states from this one batch,
+    kept in encode's memo for as long as the caller holds them; a row whose
+    state the memo still holds gets that state back (its new one is
+    dropped), and a refused batch stores nothing.  Input that
+    feature_array refuses raises StateError, as in kmeans."""
     points = feature_array(points, 2)
     m = _matrices(points)
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -84,14 +85,7 @@ def check_encodable(points) -> List[DensityMatrix]:
             f"point row {bad[0]} encodes outside the state space: "
             f"min eigenvalue {lam[bad[0]]:.3e}"
         )
-    states = []
-    for u, mat in zip(points, m):
-        key = u.tobytes()
-        rho = _MEMO.get(key)
-        if rho is None:
-            rho = _MEMO[key] = DensityMatrix(mat)
-        states.append(rho)
-    return states
+    return [_MEMO.setdefault(u.tobytes(), DensityMatrix(mat)) for u, mat in zip(points, m)]
 
 
 def encode(u: Sequence[float]) -> DensityMatrix:

@@ -10,16 +10,22 @@ are kept with every product written as `@`, and the CSV writer with its
 per-cell `repr` formatting, as the library had them before it took its
 small products through `ndarray.dot` and its CSV rows through one
 `writerows`.  Two-qubit k-means data, the paper's own setting,
-is drawn here too, since no CLI target uses it.
+is drawn here too, since no CLI target uses it.  The bit-identity tests
+share two harnesses: one runs code under a tracer, the other records the
+states the count draws seed their streams with.
 """
 
+import contextlib
 import csv
 import itertools
 import math
+import sys
 from typing import Sequence, Tuple
 
 import numpy as np
+import pytest
 
+from qhsd import interferometry
 from qhsd.encoding import safe_radius
 from qhsd.states import BellKind, DensityMatrix, StateError, _check_qubit_dim, make_bell
 
@@ -153,3 +159,32 @@ def two_qubit_blobs(n_points: int, seed: int) -> np.ndarray:
             pts = np.vstack([pts, cand[np.linalg.norm(cand, axis=1) <= radius]])
         out.append(pts)
     return np.vstack(out)
+
+
+@contextlib.contextmanager
+def under_a_tracer():
+    """Run the block with a no-op tracer installed, which keeps CPython from
+    specialising its integer and float operations; the previous tracer is
+    put back on the way out."""
+    previous = sys.gettrace()
+    sys.settrace(lambda *args: None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
+@contextlib.contextmanager
+def recorded_seeds():
+    """Yield a list that gains, as a list of ints, every state that
+    interferometry's count draws hand to PCG64 inside the block."""
+    seeded = []
+
+    class RecordingSeed(interferometry._hashed_seed_type()):
+        def __init__(self, state):
+            seeded.append(state.tolist())
+            super().__init__(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interferometry, "_hashed_seed_type", lambda: RecordingSeed)
+        yield seeded

@@ -507,6 +507,16 @@ def test_cluster_checks_rows(tmp_path, capsys, row, backend, code):
         assert not (tmp_path / "out").exists()
 
 
+def test_cluster_refuses_points_too_close_for_kmeans(tmp_path, capsys):
+    # at 1e-170 every squared distance is 0.0, so every label would tie to centroid 0
+    path = tmp_path / "points.csv"
+    path.write_text("1e-170,0,0\n0.9e-170,0,0\n-1e-170,0,0\n")
+    code, out, err = run(capsys, "cluster", str(path), "--k", "2", "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: points are too close for k-means: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_skips_blank_lines(tmp_path, capsys):
     rows = ["x1,x2,x3", "0.1,0,0", "0.12,0.01,0", "-0.1,0,0", "-0.12,0,0.01"]
     (tmp_path / "plain.csv").write_text("\n".join(rows) + "\n")

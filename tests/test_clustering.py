@@ -59,8 +59,9 @@ def test_simulated_backend_requires_noise():
         make_backend("hsd_simulated", NoiseModel("exact", 10, 0))
     with pytest.raises(StateError):
         SimulatedHsdBackend(NoiseModel("exact", 10, 0))
-    with pytest.raises(StateError):
-        make_backend("medoid", NoiseModel("binomial", 10, 0))
+    for kind in ("medoid", ["euclidean"]):  # an unhashable kind is refused by name too
+        with pytest.raises(StateError, match="^unknown backend "):
+            make_backend(kind, NoiseModel("binomial", 10, 0))
 
 
 def test_update_centroids_means():
@@ -421,6 +422,22 @@ def test_kmeans_refuses_points_whose_distances_overflow():
     assert kmeans(geometry * 1e150, 2).labels.tolist() == labels.tolist()
     with pytest.raises(StateError, match=r"^point row 0 is too large for k-means: "):
         kmeans(geometry * 1e200, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-162, 1e-170])
+def test_kmeans_refuses_points_whose_distances_underflow(scale):
+    # the bounding box's diagonal squares below the smallest normal float, so
+    # every squared distance has lost bits, and from about 1e-162 on it is 0.0
+    # and the argmin would tie to centroid 0: the run is refused before any
+    # distance, while at 1e-150 it keeps the unscaled labels
+    geometry = np.array([[1.0, 0.0, 0.0], [0.9, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert kmeans(geometry * 1e-150, 2).labels.tolist() == [1, 1, 0]
+    backend = _CountingBackend()
+    with pytest.raises(StateError, match=r"^points are too close for k-means: "):
+        kmeans(geometry * scale, 2, backend=backend)
+    assert backend.calls == 0
+    with pytest.raises(StateError, match=r"^points are too close for k-means: "):
+        kmeans(geometry * scale, 2, backend=ExactHsdBackend())
 
 
 @pytest.mark.parametrize("kind", ["hsd_exact", "hsd_simulated"])

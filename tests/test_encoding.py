@@ -1,6 +1,5 @@
 import gc
 import itertools
-import sys
 import weakref
 
 import numpy as np
@@ -28,7 +27,7 @@ from qhsd.states import (
     purity,
 )
 
-from oracles import random_mixed
+from oracles import random_mixed, under_a_tracer
 
 PAULI = {
     "I": np.eye(2),
@@ -477,11 +476,7 @@ def test_check_encodable_stores_the_seed_formula(points):
 
 def test_check_encodable_stores_its_bits_under_a_tracer():
     points = np.array([[0.1, -0.0, 0.0], [0.0, 0.2, -0.1], [0.1, -0.0, 0.0], [-0.0, 0.0, 0.0]])
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with under_a_tracer():
         encoding._MEMO.clear()
         _check_batch_memo(points)
         _check_batch_memo(np.vstack([points, [0.9, 0.0, 0.0]]))
-    finally:
-        sys.settrace(previous)

@@ -2,7 +2,6 @@ import gc
 import itertools
 import math
 import re
-import sys
 import weakref
 
 import numpy as np
@@ -231,15 +230,7 @@ def _check_stream_state(values):
     """The state _draw_counts seeds each stream of [*values, c] with, at 1 to
     MAX_QUBITS qubits: SeedSequence([*values, c]).generate_state(4, np.uint64),
     seeded alone (1 qubit, or a prefix under 4 words) or from the table."""
-    seeded = []
-
-    class RecordingSeed(interferometry._hashed_seed_type()):
-        def __init__(self, state):
-            seeded.append(state.tolist())
-            super().__init__(state)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interferometry, "_hashed_seed_type", lambda: RecordingSeed)
+    with oracles.recorded_seeds() as seeded:
         for n in range(1, MAX_QUBITS + 1):
             seeded.clear()
             _draw_counts(np.full(2 ** n, 0.5), NoiseModel("binomial", 1000, values[0]), values[1:])
@@ -249,13 +240,9 @@ def _check_stream_state(values):
 
 def test_stream_state_keeps_its_bits_under_a_tracer():
     # a tracer turns off CPython's specialised integer operations
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with oracles.under_a_tracer():
         _check_stream_state([2 ** 40, 5])  # 3 words: every stream seeded alone
         _check_stream_state([7, 2 ** 40, 3, 1])  # 5 words: alone at 1 qubit, else from the table
-    finally:
-        sys.settrace(previous)
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,14 +395,10 @@ def test_measure_overlap_counts_follow_the_stream_contract(n, seed, key):
 
 def test_measure_overlap_counts_follow_the_stream_contract_under_a_tracer():
     # a tracer turns off CPython's specialised integer operations
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with oracles.under_a_tracer():
         for n in range(1, MAX_QUBITS + 1):
             for seed, key in _CONTRACT_KEYS:
                 _check_stream_contract(n, seed, key)
-    finally:
-        sys.settrace(previous)
 
 
 def _overlap_outcome(rho, noise, key):
@@ -472,12 +455,8 @@ def test_coordinates_are_read_only_and_private():
     rhos = [random_mixed(2 ** n, np.random.default_rng(3)) for n in range(1, MAX_QUBITS + 1)]
     warm = [_checked_coordinate_bits(rho) for rho in rhos]
     assert warm == [_hex(_pauli_coordinates(rho)) for rho in rhos]
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with oracles.under_a_tracer():
         traced = [_checked_coordinate_bits(DensityMatrix(rho.matrix)) for rho in rhos]
-    finally:
-        sys.settrace(previous)
     assert traced == warm
 
 
@@ -570,19 +549,11 @@ def _check_identity_configuration(a, b, shots, seed, key):
     """p_II is exactly 1 for (a, b), (b, a) and (a, a): exact mode counts
     f_II = shots, and binomial noise draws configuration 0's count from no
     stream (no Generator is seeded with its state)."""
-    seeded = []
-
-    class RecordingSeed(interferometry._hashed_seed_type()):
-        def __init__(self, state):
-            seeded.append(state.tolist())
-            super().__init__(state)
-
     first = np.random.SeedSequence([seed, *key, 0]).generate_state(4, np.uint64).tolist()
     for x, y in ((a, b), (b, a), (a, a)):
         assert povm_probabilities(x, y)[0] == 1.0
         assert measure_overlap(x, y, NoiseModel("exact", shots, seed), key).counts[0] == shots
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(interferometry, "_hashed_seed_type", lambda: RecordingSeed)
+        with oracles.recorded_seeds() as seeded:
             est = measure_overlap(x, y, NoiseModel("binomial", shots, seed), key)
         assert est.counts[0] == shots and first not in seeded
 
@@ -596,14 +567,10 @@ def test_identity_configuration_is_certain(case):
 def test_identity_configuration_is_certain_under_a_tracer():
     # fresh states, so their coordinates are computed under the tracer too
     u = np.array([0.05, -0.0, 0.0, 0.02, 0.0, -0.03, 0.0, 0.01, -0.0, 0.0, 0.04, 0.0, 0.0, -0.02, 0.0])
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with oracles.under_a_tracer():
         a = DensityMatrix(encode(u).matrix)
         b = pure_state([0.6, 0.0, 0.8j, -0.0])
         _check_identity_configuration(a, b, 1000, 2 ** 40, (3, 2 ** 33))
-    finally:
-        sys.settrace(previous)
 
 
 def test_povm_weights_qubit_range():
@@ -848,12 +815,8 @@ def test_errors_keep_their_bits_under_a_tracer(shots):
     # keep the bits of the oracle formulas
     warm = _checked_error_bits(shots)
     assert _checked_error_bits(shots) == warm
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with oracles.under_a_tracer():
         traced = _checked_error_bits(shots)
-    finally:
-        sys.settrace(previous)
     assert traced == warm
 
 

@@ -1,4 +1,3 @@
-import sys
 import weakref
 
 import numpy as np
@@ -33,7 +32,7 @@ from qhsd.states import (
     state_from_json,
 )
 
-from oracles import permute_qubits, pure_state, random_mixed, tensor
+from oracles import permute_qubits, pure_state, random_mixed, tensor, under_a_tracer
 
 
 def test_bell_phi_plus_entries():
@@ -207,12 +206,8 @@ def test_exact_traces_keep_their_bits_on_edge_diagonals():
 def test_exact_traces_keep_their_bits_under_a_tracer():
     # A tracer keeps CPython from specialising its float add, which then gave
     # a sum of two opposite NaNs the other sign bit.
-    previous = sys.gettrace()
-    sys.settrace(lambda *args: None)
-    try:
+    with under_a_tracer():
         test_exact_traces_keep_their_bits_on_edge_diagonals()
-    finally:
-        sys.settrace(previous)
 
 
 def test_hsd_metric_properties():

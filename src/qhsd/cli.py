@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ESTIMATION = 3
 EXIT_IO = 4
+# main's exit code for a refused run: the first kind the error is.  An
+# EstimationError is also a ValueError, so it comes first.
+_EXIT_CODES = ((EstimationError, EXIT_ESTIMATION), (ValueError, EXIT_INPUT), (OSError, EXIT_IO))
 
 BELL_ORDER = [kind.value for kind in BellKind]
 SEPARABLE_ORDER = ["00", "11", "01", "10"]
@@ -155,19 +158,15 @@ def _read_points_csv(path: str) -> np.ndarray:
     only when none of its cells is a number; any other row with a
     non-numeric cell is an error."""
     rows: List[List[float]] = []
-    seen = False
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
-            for raw in csv.reader(fh):
-                if not raw:
-                    continue
+            for i, raw in enumerate(filter(None, csv.reader(fh))):
                 cells = [_parse_cell(x) for x in raw]
                 if None not in cells:
                     rows.append(cells)
-                elif seen or any(c is not None for c in cells):
+                elif i or any(c is not None for c in cells):
                     raise StateError(f"non-numeric row in {path}: {raw}")
-                seen = True
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a field over csv.field_size_limit(), non-UTF-8 bytes
             raise StateError(f"unreadable CSV {path}: {exc}") from None
     if not rows:
         raise StateError(f"no numeric rows in {path}")
@@ -309,15 +308,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.func(args, NoiseModel(args.noise, args.shots, args.seed))
         return EXIT_OK
-    except EstimationError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -85,9 +85,7 @@ def generator_basis(n_qubits: int) -> np.ndarray:
 def _generator_basis(n_qubits: int) -> np.ndarray:
     scale = 1.0 / np.sqrt(2.0 ** (n_qubits - 1))
     mats = []
-    for letters in itertools.product("IXYZ", repeat=n_qubits):
-        if all(c == "I" for c in letters):
-            continue
+    for letters in list(itertools.product("IXYZ", repeat=n_qubits))[1:]:  # the first is the identity string
         g = np.array([[1.0 + 0j]])
         for c in letters:
             g = np.kron(g, _PAULI[c])

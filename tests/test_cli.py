@@ -521,12 +521,15 @@ def test_cluster_skips_blank_lines(tmp_path, capsys):
     rows = ["x1,x2,x3", "0.1,0,0", "0.12,0.01,0", "-0.1,0,0", "-0.12,0,0.01"]
     (tmp_path / "plain.csv").write_text("\n".join(rows) + "\n")
     (tmp_path / "blank.csv").write_text("\n\n".join(rows) + "\n\n")
-    for name in ("plain", "blank"):
+    # blank lines before the header: the header is still the first row read
+    (tmp_path / "leading.csv").write_text("\n\n" + "\n".join(rows) + "\n")
+    for name in ("plain", "blank", "leading"):
         code, _, _ = run(capsys, "cluster", str(tmp_path / f"{name}.csv"), "--k", "2",
                          "--out-dir", str(tmp_path / name))
         assert code == 0
-    for out in ("labels.csv", "model.json"):
-        assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / "blank" / out).read_bytes()
+    for name in ("blank", "leading"):
+        for out in ("labels.csv", "model.json"):
+            assert (tmp_path / "plain" / out).read_bytes() == (tmp_path / name / out).read_bytes()
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "x1,x2,x3\n", "x1,x2,x3\n\n"])
@@ -583,7 +586,8 @@ def test_cluster_names_ragged_row(tmp_path, capsys, body, row, cols):
 @pytest.mark.parametrize("body, bad", [
     ("0.1,0,x\n0.2,0,0\n-0.1,0,0\n", ["0.1", "0", "x"]),
     ("x1,x2,x3\nlabel,a,b\n0.1,0,0\n-0.1,0,0\n", ["label", "a", "b"]),
-], ids=["partly_numeric_first_row", "second_text_row"])
+    ("x1,x2,x3\n\nlabel,a,b\n0.1,0,0\n-0.1,0,0\n", ["label", "a", "b"]),
+], ids=["partly_numeric_first_row", "second_text_row", "text_row_after_a_blank_line"])
 def test_cluster_header_is_one_all_text_first_row(tmp_path, capsys, body, bad):
     path = tmp_path / "points.csv"
     path.write_text(body)
@@ -602,6 +606,17 @@ def test_cluster_field_over_the_csv_limit_is_an_input_error(tmp_path, capsys):
                          "--out-dir", str(tmp_path / "out"))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: unreadable CSV {path}: field larger than field limit")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_csv_not_utf8_is_named_input_error(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"0.1,0,0\n\xff\xfe,0,0\n")
+    code, out, err = run(capsys, "cluster", str(path), "--k", "2",
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unreadable CSV {path}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

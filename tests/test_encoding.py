@@ -393,7 +393,7 @@ def test_encode_cache_stays_bounded():
     assert not any(u.tobytes() in encoding._MEMO for u in stack)
 
 
-def test_encode_memo_evicts_least_recently_used():
+def test_encode_memo_drops_states_nothing_holds():
     u = np.array([0.3, 0.0, 0.0])
     held = check_encodable(np.array([u, -u]))
     first = encode(u)

@@ -147,8 +147,10 @@ def cmd_simulate(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) ->
 
 
 def _parse_cell(cell: str) -> Optional[float]:
+    """The cell's number, or None.  float() would also read digit
+    underscores, as in 1_0e-2, which no CSV number has."""
     try:
-        return float(cell)
+        return None if "_" in cell else float(cell)
     except ValueError:
         return None
 

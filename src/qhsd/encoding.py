@@ -71,9 +71,9 @@ def check_encodable(points) -> List[DensityMatrix]:
     the matrix is not finite (one batched eigendecomposition covers the rest).
     Once every row passes, return the rows' states from this one batch,
     kept in encode's memo for as long as the caller holds them; a row whose
-    state the memo still holds gets that state back (its new one is
-    dropped), and a refused batch stores nothing.  Input that
-    feature_array refuses raises StateError, as in kmeans."""
+    state the memo still holds gets that state back, and no state is built
+    for it.  A refused batch stores nothing.  Input that feature_array
+    refuses raises StateError, as in kmeans."""
     points = feature_array(points, 2)
     m = _matrices(points)
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -85,7 +85,14 @@ def check_encodable(points) -> List[DensityMatrix]:
             f"point row {bad[0]} encodes outside the state space: "
             f"min eigenvalue {lam[bad[0]]:.3e}"
         )
-    return [_MEMO.setdefault(u.tobytes(), DensityMatrix(mat)) for u, mat in zip(points, m)]
+    held = []
+    for u, mat in zip(points, m):
+        key = u.tobytes()
+        rho = _MEMO.get(key)
+        if rho is None:
+            rho = _MEMO[key] = DensityMatrix(mat)
+        held.append(rho)
+    return held
 
 
 def encode(u: Sequence[float]) -> DensityMatrix:

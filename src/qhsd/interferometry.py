@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -245,9 +246,9 @@ def _hashed_seed_type() -> type:
 
 def _draw_counts(
     probs: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
-) -> np.ndarray:
+) -> List[float]:
     if noise.mode == "exact":
-        return noise.shots * np.minimum(np.maximum(probs, 0.0), 1.0)
+        return (noise.shots * np.minimum(np.maximum(probs, 0.0), 1.0)).tolist()
     seed_type, shots, binomial = _hashed_seed_type(), noise.shots, noise.mode == "binomial"
     # the last word is the configuration slot: c < 2^MAX_QUBITS there gives stream (*stream_key, c)
     words = _stream_words(noise.seed, (*stream_key, 0))
@@ -258,9 +259,11 @@ def _draw_counts(
     states = None if one_by_one else _stream_states(words[:-1], len(probs))
     draws = []
     for c, p in enumerate(probs.tolist()):
-        p = min(max(p, 0.0), 1.0)  # as np.minimum(np.maximum(...)), -0.0 and NaN included
+        # NaN stays NaN, as in np.minimum(np.maximum(...)); -0.0 stays -0.0,
+        # where numpy gives 0.0, and p == 0.0 counts it as the certain 0.0
+        p = min(max(p, 0.0), 1.0)
         if p == 0.0 or (binomial and p == 1.0):
-            draws.append(shots if p else 0)  # what its stream would draw; an int is never -0.0
+            draws.append(float(shots) if p else 0.0)  # what its stream would draw
             continue
         if states is None:
             words[-1] = c
@@ -268,25 +271,42 @@ def _draw_counts(
         else:
             state = states[c]
         rng = np.random.Generator(np.random.PCG64(seed_type(state)))
-        draws.append(rng.binomial(shots, p) if binomial else rng.poisson(shots * p))
-    return np.array(draws, dtype=float)
+        draws.append(float(rng.binomial(shots, p) if binomial else rng.poisson(shots * p)))
+    return draws
 
 
 def _estimate(
-    counts: np.ndarray, noise: NoiseModel, stream_key: Sequence[int] = ()
+    counts: List[float], noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
     """Overlap value from the coincidence counts of one overlap, counted
     under `noise` on stream `stream_key`; its std_error is computed from
     the counts when read."""
-    rates = counts.tolist()
-    f0, wrest = rates[0], _configurations(len(rates).bit_length() - 1)[2][1:]
+    f0, wrest = counts[0], _configurations(len(counts).bit_length() - 1)[2][1:]
     if f0 <= 0:
         key = tuple(int(k) for k in stream_key)
         raise EstimationError(
             f"f_II = 0 at stream key {key}: cannot normalize the overlap estimate"
         )
     value = 1.0 + float(wrest.dot(counts[1:])) / f0
-    return OverlapEstimate(value, not 0.0 <= value <= 1.0, tuple(rates), noise)
+    return OverlapEstimate(value, not 0.0 <= value <= 1.0, tuple(counts), noise)
+
+
+# povm_probabilities(rho, rho) of each state measured against itself, read-only
+# and kept only while the state is held: a distance measures two such
+# self-overlaps, and k-means measures each state's many times.  States hash by
+# identity.
+_SELF_PROBS: weakref.WeakKeyDictionary[DensityMatrix, np.ndarray] = weakref.WeakKeyDictionary()
+
+
+def _probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """povm_probabilities(rho1, rho2), computed once per state when rho1 is rho2."""
+    if rho1 is not rho2:
+        return povm_probabilities(rho1, rho2)
+    probs = _SELF_PROBS.get(rho1)
+    if probs is None:
+        probs = _SELF_PROBS[rho1] = povm_probabilities(rho1, rho1)
+        probs.setflags(write=False)
+    return probs
 
 
 def measure_overlap(
@@ -296,7 +316,7 @@ def measure_overlap(
     configurations.  Configuration c's count comes from the stream
     default_rng([noise.seed, *stream_key, c]); a count that is certain (a
     clipped probability of 0, or of 1 under binomial) draws no stream."""
-    counts = _draw_counts(povm_probabilities(rho1, rho2), noise, stream_key)
+    counts = _draw_counts(_probabilities(rho1, rho2), noise, stream_key)
     return _estimate(counts, noise, stream_key)
 
 

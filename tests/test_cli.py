@@ -598,6 +598,21 @@ def test_cluster_header_is_one_all_text_first_row(tmp_path, capsys, body, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, bad", [
+    ("1_0e-2,0,0\n0.2,0,0\n-0.1,0,0\n", ["1_0e-2", "0", "0"]),
+    ("x_1,x_2,x_3\n0.1,0,0\n0.2,0_0,0\n", ["0.2", "0_0", "0"]),
+], ids=["first_row", "after_a_header"])
+def test_cluster_refuses_digit_underscores(tmp_path, capsys, body, bad):
+    # float() reads 1_0e-2 as 0.1; a CSV number has no underscores
+    path = tmp_path / "points.csv"
+    path.write_text(body)
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: non-numeric row in {path}: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_field_over_the_csv_limit_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("0.1,0,0\n0.2,0," + "0" * 200000 + "\n-0.1,0,0\n")

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from qhsd.clustering import ExactHsdBackend, SimulatedHsdBackend, kmeans, two_gaussian_demo
+from qhsd.encoding import encode, safe_radius
 from qhsd.interferometry import NoiseModel, measure_hsd
-from qhsd.states import hsd_exact
+from qhsd.states import MAX_QUBITS, hsd_exact
 
 from oracles import random_mixed
 
@@ -57,3 +58,27 @@ def test_simulated_kmeans_labels_the_demo_as_exact(init_seed):
     simulated = kmeans(points, 2, init_seed=init_seed, backend=backend).labels
     agree = max(np.mean(simulated == exact), np.mean(simulated == 1 - exact))  # up to renaming
     assert agree >= 0.999
+
+
+def _relative_d2_error(n, shots):
+    """Summed d2_std_error over summed exact d2, binomial noise, for
+    PAIRS_PER_N pairs of n-qubit points at 0.9 safe_radius(2^n) in random
+    directions."""
+    rng = np.random.default_rng(n)
+    radius = 0.9 * safe_radius(2 ** n)
+    error = exact = 0.0
+    for i in range(PAIRS_PER_N):
+        a, b = (encode(radius * x / np.linalg.norm(x)) for x in rng.standard_normal((2, 4 ** n - 1)))
+        error += measure_hsd(a, b, NoiseModel("binomial", shots, 0), (i,)).d2_std_error
+        exact += hsd_exact(a, b) ** 2
+    return error / exact
+
+
+def test_relative_d2_error_grows_with_the_qubit_count():
+    # the interferometer saves POVM settings, not shots: at fixed shots the
+    # d2 error relative to the mean d2 grows with n, so a fixed relative
+    # error needs more shots as D grows; 4x the shots halve the error
+    ratios = [_relative_d2_error(n, 100_000) for n in range(1, MAX_QUBITS + 1)]
+    assert all(x < y for x, y in zip(ratios, ratios[1:]))
+    for n, ratio in enumerate(ratios, 1):
+        assert 0.45 <= _relative_d2_error(n, 400_000) / ratio <= 0.55

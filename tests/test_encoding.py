@@ -480,3 +480,23 @@ def test_check_encodable_stores_its_bits_under_a_tracer():
         encoding._MEMO.clear()
         _check_batch_memo(points)
         _check_batch_memo(np.vstack([points, [0.9, 0.0, 0.0]]))
+
+
+def test_check_encodable_builds_no_state_for_a_held_row(monkeypatch):
+    # a row whose state the memo holds gets that state back with no
+    # DensityMatrix built for it; a new row builds one, shared by its repeats
+    built = []
+    post_init = states.DensityMatrix.__post_init__
+
+    def counted(rho):
+        built.append(rho)
+        post_init(rho)
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+    u, v, w = [0.0123, -0.0, 0.0], [0.0, 0.0456, 0.0], [0.0, 0.0, -0.0789]
+    held = check_encodable([u, v])
+    assert built == held
+    again = check_encodable([v, u, w, w])
+    assert again[:2] == held[::-1] and again[2] is again[3]
+    assert built == [*held, again[2]]
+    assert encode(u) is held[0] and len(built) == 3

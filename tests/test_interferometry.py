@@ -260,7 +260,8 @@ def test_draw_counts_match_per_config_streams(seed, key, mode, n, shots):
     for i, p in enumerate(probs):
         rng = _seed_stream_rng(seed, (*key, i))
         expected.append(rng.binomial(shots, p) if mode == "binomial" else rng.poisson(shots * p))
-    assert _draw_counts(probs, noise, key).tolist() == expected
+    counts = _draw_counts(probs, noise, key)
+    assert counts == expected and all(type(c) is float for c in counts)
 
 
 # Clipped probabilities whose count is certain (0.0, -0.0, and 1.0 under
@@ -278,9 +279,19 @@ def test_certain_counts_match_per_config_streams(mode, seed, key, shots):
         for i, p in enumerate(probs):
             rng = _seed_stream_rng(seed, (*key, i))
             expected.append(float(rng.binomial(shots, p) if mode == "binomial" else rng.poisson(shots * p)))
-        counts = _draw_counts(np.array(probs), noise, key).tolist()
+        counts = _draw_counts(np.array(probs), noise, key)
         assert _hex(counts) == _hex(expected)
         assert all(math.copysign(1.0, c) == 1.0 for c in counts)  # never -0.0
+
+
+@pytest.mark.parametrize("mode", NOISE_MODES)
+@pytest.mark.parametrize("probs", [[-0.0, 1.0], [1.0, -0.0, 0.5, -0.0], [1.0] + [-0.0] * 15])
+def test_negative_zero_probability_counts_positive_zero(mode, probs):
+    # Python's max(-0.0, 0.0) keeps -0.0 where np.maximum gives 0.0; a
+    # count of -0.0 would print as -0.0 in the reports
+    counts = _draw_counts(np.array(probs), NoiseModel(mode, 1000, 3), (2 ** 33,))
+    assert [c for c, p in zip(counts, probs) if p == 0.0] == [0.0] * probs.count(0.0)
+    assert all(math.copysign(1.0, c) == 1.0 for c in counts)
 
 
 @pytest.mark.parametrize("mode", ["binomial", "poisson"])
@@ -469,6 +480,72 @@ def test_coordinates_go_with_their_state():
     assert state() is None and coords() is None
 
 
+def _hsd_outcome(a, b, noise, key):
+    """Every bit of measure_hsd(a, b, ...), or its EstimationError."""
+    try:
+        m = measure_hsd(a, b, noise, key)
+    except EstimationError as exc:
+        return str(exc)
+    overlaps = [(_hex([o.value, o.std_error, *o.counts]), o.clamped) for o in m.overlaps]
+    return _hex([m.value, m.d2, m.d2_std_error]), m.clamped, overlaps
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlap_cases())
+def test_kept_self_probabilities_match_fresh_ones(case):
+    # a state's self-overlap probabilities are computed by its first self-
+    # overlap and kept, read-only, for the next; counts, values and errors
+    # agree bit for bit with those of probabilities computed afresh for
+    # every overlap, on the first pass, warm and under a tracer
+    a, b, noise, key = case
+    pairs = [(a, b), (b, a), (a, a)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interferometry, "_probabilities", povm_probabilities)
+        fresh = [_hsd_outcome(x, y, noise, key) for x, y in pairs]
+    table = interferometry._SELF_PROBS
+    assert a not in table and b not in table
+    assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
+    kept = [table[a], table[b]]  # each pair measures its first state's self-overlap first
+    for rho, probs in zip((a, b), kept):
+        assert not probs.flags.writeable
+        assert _hex(probs) == _hex(povm_probabilities(rho, rho))
+    assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
+    with oracles.under_a_tracer():
+        assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
+    assert table[a] is kept[0] and table[b] is kept[1]
+
+
+def test_self_probabilities_go_with_their_states(monkeypatch):
+    # the table keeps no state alive: it is empty once its states are
+    # dropped, also after a simulated k-means run, whose every distance
+    # measures two self-overlaps
+    from qhsd.clustering import SimulatedHsdBackend, kmeans, two_gaussian_demo
+
+    table = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(interferometry, "_SELF_PROBS", table)
+    rng = np.random.default_rng(8)
+    rhos = [random_mixed(2 ** n, rng) for n in range(1, MAX_QUBITS + 1) for _ in range(2)]
+    for a, b in zip(rhos[::2], rhos[1::2]):
+        measure_hsd(a, b, NoiseModel("binomial", 1000, 0))
+    assert len(table) == len(rhos)
+    del rhos, a, b
+    gc.collect()
+    assert len(table) == 0
+    computed = []
+
+    def counted(x, y):
+        computed.append(x is y)
+        return povm_probabilities(x, y)
+
+    monkeypatch.setattr(interferometry, "povm_probabilities", counted)
+    backend = SimulatedHsdBackend(NoiseModel("binomial", 1000, 0))
+    result = kmeans(two_gaussian_demo(12, seed=1), 2, max_iter=3, backend=backend)
+    # each point's and each iteration's centroids' once, against two per distance
+    assert 0 < sum(computed) <= 12 + 2 * result.iterations < len(computed)
+    gc.collect()
+    assert len(table) == 0
+
+
 @st.composite
 def product_cases(draw):
     """Two 1-4 qubit states, each random mixed, pure with some amplitudes
@@ -519,7 +596,7 @@ def test_dot_products_match_matmul_oracles_bit_for_bit(case):
             counts = _draw_counts(probs, noise, key)
             if counts[0] > 0:
                 est = _estimate(counts, noise, key)
-                value, std_error = estimate_overlap(counts.tolist(), shots, mode)
+                value, std_error = estimate_overlap(counts, shots, mode)
                 assert _hex([est.value, est.std_error]) == _hex([value, std_error])
 
 
@@ -580,13 +657,13 @@ def test_povm_weights_qubit_range():
 
 
 def test_estimate_overlap_arithmetic():
-    est = _estimate(np.array([1600.0, 400.0, 400.0, 100.0]), NoiseModel("binomial", 1600, 0))
+    est = _estimate([1600.0, 400.0, 400.0, 100.0], NoiseModel("binomial", 1600, 0))
     assert est.value == pytest.approx(0.25, abs=1e-12)
     assert not est.clamped
-    quiet = _estimate(np.array([1000.0, 0.0, 0.0, 0.0]), NoiseModel("binomial", 1000, 0))
+    quiet = _estimate([1000.0, 0.0, 0.0, 0.0], NoiseModel("binomial", 1000, 0))
     assert quiet.value == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(EstimationError):
-        _estimate(np.array([0.0, 1.0, 1.0, 1.0]), NoiseModel("binomial", 10, 0))
+        _estimate([0.0, 1.0, 1.0, 1.0], NoiseModel("binomial", 10, 0))
 
 
 def _exact_counts(n, seed):
@@ -612,7 +689,7 @@ def _exact_counts(n, seed):
     (_exact_counts(4, 1), "exact", 1000),
 ])
 def test_estimate_edge_cases_match_oracle(counts, mode, shots):
-    est = _estimate(np.array(counts), NoiseModel(mode, shots, 0))
+    est = _estimate(counts, NoiseModel(mode, shots, 0))
     value, std_error = estimate_overlap(counts, shots, mode)
     assert (est.value.hex(), est.std_error.hex()) == (value.hex(), std_error.hex())
     assert est.counts == tuple(counts)
@@ -622,7 +699,7 @@ def test_estimate_overlap_refuses_unknown_mode():
     for mode in ("bogus", "binomal", "Poisson"):
         with pytest.raises(StateError, match=f"^unknown noise mode {mode!r}$"):
             NoiseModel(mode, 1000, 0)
-    counts = np.array([1000.0, 10.0, 12.0, 1.0])
+    counts = [1000.0, 10.0, 12.0, 1.0]
     errors = [_estimate(counts, NoiseModel(mode, 1000, 0)).std_error for mode in NOISE_MODES]
     assert errors[0] == 0.0 and errors[1] != errors[2]
 
@@ -687,7 +764,7 @@ def test_shots_are_bounded_by_two_to_the_53(mode):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coincidence_counts_of_every_qubit_count(n):
-    est = _estimate(np.array([10.0] + [0.0] * (2 ** n - 1)), NoiseModel("binomial", 10, 0))
+    est = _estimate([10.0] + [0.0] * (2 ** n - 1), NoiseModel("binomial", 10, 0))
     assert list(est.named_counts()) == ["f_" + "".join(c) for c in itertools.product("IS", repeat=n)]
     assert est.value == 1.0
 

@@ -148,9 +148,10 @@ def cmd_simulate(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) ->
 
 def _parse_cell(cell: str) -> Optional[float]:
     """The cell's number, or None.  float() would also read digit
-    underscores, as in 1_0e-2, which no CSV number has."""
+    underscores, as in 1_0e-2, and non-ASCII digits, as in a full-width 1,
+    which no CSV number has."""
     try:
-        return None if "_" in cell else float(cell)
+        return None if "_" in cell or not cell.isascii() else float(cell)
     except ValueError:
         return None
 

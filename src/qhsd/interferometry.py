@@ -11,23 +11,17 @@ the four rates as
 which is the trace of the pairwise SWAP (= I - 2S per photon) against the
 two copies; in general each rate carries the weight (-2)^(number of S).
 
-Every rate follows from the two states' Pauli coordinates r_a = Tr(rho P_a)
-over the 4^n Pauli strings (r_0 = 1), the Bloch coordinates the mixed-state
-encoding writes data into.  Per photon the singlet is (I - SWAP)/2, and
-SWAP = 1/2 sum_P P (x) P, so configuration c with singlet set S_c has
-
-    p_c = 4^-|S_c| sum_{a : supp(a) in S_c} (-1)^|supp(a)| r1_a r2_a,
-
-one fixed weight table per qubit count applied to r1 * r2.  No joint state
-is formed.  Each state computes its coordinates once, on first read, and
-keeps them (DensityMatrix.pauli_coordinates).
+The exact probability of every configuration comes from qhsd.states:
+povm_probabilities forms it from the two states' Pauli coordinates, and a
+state keeps those of its overlap with itself (self_probabilities).  This
+module adds the counting noise, the random stream of each count and the
+estimator.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -38,10 +32,11 @@ from qhsd.states import (
     MAX_QUBITS,
     DensityMatrix,
     StateError,
+    _configurations,
     check_integer,
     check_n_qubits,
-    check_same_dim,
     hsd_from_overlaps,
+    povm_probabilities,
 )
 
 NOISE_MODES = ("exact", "binomial", "poisson")
@@ -118,38 +113,6 @@ class OverlapEstimate:
         photon, photon A first: f_SI has the singlet on photon A."""
         names = _configurations(len(self.counts).bit_length() - 1)[0]
         return {"f_" + name: count for name, count in zip(names, self.counts)}
-
-
-@lru_cache(maxsize=None)
-def _configurations(n: int) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
-    """(names, W, weights) of the 2^n configurations of n photons, in
-    configuration order (see OverlapEstimate), built photon by photon with
-    photon A highest.  Photon k takes the identity (I) or the singlet (S):
-    - its name gains "I" or "S";
-    - W, of shape (2^n, 4^n), gains by Kronecker product the row [1, 0, 0, 0]
-      or [1, -1, -1, -1] / 4 over its qubit's letters I, X, Y, Z, so that
-      configuration c has probability W[c] . (r1 * r2), r the Pauli
-      coordinates of each state (pauli_coordinates);
-    - its estimator weight gains the factor 1 or -2, so that configuration c
-      weighs (-2)^(number of singlets).
-    Every entry of W is 0 or +-4^-m, so row 0 picks r1_0 * r2_0 = 1 exactly,
-    and every weight is an exact power of two."""
-    check_n_qubits(n)
-    names, w, weights = ("",), np.ones((1, 1)), np.ones(1)
-    for _ in range(n):
-        names = tuple(name + letter for name in names for letter in "IS")
-        w = np.kron(w, [[1.0, 0.0, 0.0, 0.0], [0.25, -0.25, -0.25, -0.25]])
-        weights = np.kron(weights, [1.0, -2.0])
-    w.setflags(write=False)
-    weights.setflags(write=False)
-    return names, w, weights
-
-
-def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """Probabilities of the 2^n configurations of two n-qubit states, in
-    configuration order (see OverlapEstimate): II, IS, SI, SS for n = 2."""
-    check_same_dim(rho1, rho2)
-    return _configurations(rho1.n_qubits)[1].dot(rho1.pauli_coordinates * rho2.pauli_coordinates)
 
 
 def _stream_words(seed: int, key: Sequence[int]) -> np.ndarray:
@@ -291,24 +254,6 @@ def _estimate(
     return OverlapEstimate(value, not 0.0 <= value <= 1.0, tuple(counts), noise)
 
 
-# povm_probabilities(rho, rho) of each state measured against itself, read-only
-# and kept only while the state is held: a distance measures two such
-# self-overlaps, and k-means measures each state's many times.  States hash by
-# identity.
-_SELF_PROBS: weakref.WeakKeyDictionary[DensityMatrix, np.ndarray] = weakref.WeakKeyDictionary()
-
-
-def _probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
-    """povm_probabilities(rho1, rho2), computed once per state when rho1 is rho2."""
-    if rho1 is not rho2:
-        return povm_probabilities(rho1, rho2)
-    probs = _SELF_PROBS.get(rho1)
-    if probs is None:
-        probs = _SELF_PROBS[rho1] = povm_probabilities(rho1, rho1)
-        probs.setflags(write=False)
-    return probs
-
-
 def measure_overlap(
     rho1: DensityMatrix, rho2: DensityMatrix, noise: NoiseModel, stream_key: Sequence[int] = ()
 ) -> OverlapEstimate:
@@ -316,7 +261,8 @@ def measure_overlap(
     configurations.  Configuration c's count comes from the stream
     default_rng([noise.seed, *stream_key, c]); a count that is certain (a
     clipped probability of 0, or of 1 under binomial) draws no stream."""
-    counts = _draw_counts(_probabilities(rho1, rho2), noise, stream_key)
+    probs = rho1.self_probabilities if rho1 is rho2 else povm_probabilities(rho1, rho2)
+    counts = _draw_counts(probs, noise, stream_key)
     return _estimate(counts, noise, stream_key)
 
 

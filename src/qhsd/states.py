@@ -1,5 +1,6 @@
 """Density matrices for small qubit systems, their Pauli basis and
-coordinates, and the Hilbert-Schmidt distance.
+coordinates, the Hilbert-Schmidt distance, and the exact probabilities of
+the configurations of the interferometric overlap measurement.
 
 Everything downstream (encoding, measurement simulation, clustering) treats
 this module as the exact ground truth.
@@ -158,6 +159,16 @@ class DensityMatrix:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def self_probabilities(self) -> np.ndarray:
+        """povm_probabilities(self, self), the configuration probabilities of
+        the state's overlap with itself: a distance measures two such
+        self-overlaps, and k-means measures each state's many times.
+        Read-only, computed on first read and kept like pauli_coordinates."""
+        p = povm_probabilities(self, self)
+        p.setflags(write=False)
+        return p
+
 
 def decode(rho: DensityMatrix) -> np.ndarray:
     """Inverse of encoding.encode: u_i = Tr(rho G_i) / 2."""
@@ -255,6 +266,41 @@ def hsd_from_overlaps(o11: float, o22: float, o12: float) -> Tuple[float, float,
     if d2 < 0.0:
         return 0.0, d2, True
     return math.sqrt(d2), d2, False
+
+
+@lru_cache(maxsize=None)
+def _configurations(n: int) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+    """(names, W, weights) of the 2^n configurations of n photons, in
+    configuration order (see interferometry.OverlapEstimate), built photon
+    by photon with photon A highest.  Photon k takes the identity (I) or the
+    singlet (S):
+    - its name gains "I" or "S";
+    - W, of shape (2^n, 4^n), gains by Kronecker product the row [1, 0, 0, 0]
+      or [1, -1, -1, -1] / 4 over its qubit's letters I, X, Y, Z (the
+      singlet is (I - SWAP)/2, and SWAP = 1/2 sum_P P (x) P), so that
+      configuration c has probability W[c] . (r1 * r2), r the Pauli
+      coordinates of each state (pauli_coordinates);
+    - its estimator weight gains the factor 1 or -2, so that configuration c
+      weighs (-2)^(number of singlets).
+    Every entry of W is 0 or +-4^-m, so row 0 picks r1_0 * r2_0 = 1 exactly,
+    and every weight is an exact power of two."""
+    check_n_qubits(n)
+    names, w, weights = ("",), np.ones((1, 1)), np.ones(1)
+    for _ in range(n):
+        names = tuple(name + letter for name in names for letter in "IS")
+        w = np.kron(w, [[1.0, 0.0, 0.0, 0.0], [0.25, -0.25, -0.25, -0.25]])
+        weights = np.kron(weights, [1.0, -2.0])
+    w.setflags(write=False)
+    weights.setflags(write=False)
+    return names, w, weights
+
+
+def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
+    """Probabilities of the 2^n configurations of two n-qubit states, in
+    configuration order (see interferometry.OverlapEstimate): II, IS, SI,
+    SS for n = 2."""
+    check_same_dim(rho1, rho2)
+    return _configurations(rho1.n_qubits)[1].dot(rho1.pauli_coordinates * rho2.pauli_coordinates)
 
 
 # ---------------------------------------------------------------------------

@@ -613,6 +613,31 @@ def test_cluster_refuses_digit_underscores(tmp_path, capsys, body, bad):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body, bad", [
+    ("\uff11e-1,0,0\n0.2,0,0\n-0.1,0,0\n", ["\uff11e-1", "0", "0"]),
+    ("x1,x2,x3\n0.1,0,0\n\u0661.\u0665,0,0\n", ["\u0661.\u0665", "0", "0"]),
+], ids=["full_width_first_row", "arabic_indic_after_a_header"])
+def test_cluster_refuses_non_ascii_digits(tmp_path, capsys, body, bad):
+    # float() reads a full-width 1e-1 as 0.1 and Arabic-Indic 1.5 as 1.5; a
+    # CSV number is ASCII
+    path = tmp_path / "points.csv"
+    path.write_text(body, encoding="utf-8")
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert err == f"error: non-numeric row in {path}: {bad}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cluster_reads_a_non_ascii_header_as_a_header(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("\u03b1,\u03b2,\u03b3\n0.1,0,0\n-0.1,0,0\n", encoding="utf-8")
+    code, _, err = run(capsys, "cluster", str(path), "--k", "2",
+                       "--out-dir", str(tmp_path / "out"))
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out" / "labels.csv").read_text().count("\n") == 3
+
+
 def test_cluster_field_over_the_csv_limit_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("0.1,0,0\n0.2,0," + "0" * 200000 + "\n-0.1,0,0\n")

@@ -494,56 +494,62 @@ def _hsd_outcome(a, b, noise, key):
 @given(overlap_cases())
 def test_kept_self_probabilities_match_fresh_ones(case):
     # a state's self-overlap probabilities are computed by its first self-
-    # overlap and kept, read-only, for the next; counts, values and errors
-    # agree bit for bit with those of probabilities computed afresh for
-    # every overlap, on the first pass, warm and under a tracer
+    # overlap and kept on the state, read-only, for the next; counts, values
+    # and errors agree bit for bit with those of probabilities computed afresh
+    # for every overlap, on the first pass, warm and under a tracer
     a, b, noise, key = case
     pairs = [(a, b), (b, a), (a, a)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(interferometry, "_probabilities", povm_probabilities)
+        mp.setattr(DensityMatrix, "self_probabilities", property(lambda rho: povm_probabilities(rho, rho)))
         fresh = [_hsd_outcome(x, y, noise, key) for x, y in pairs]
-    table = interferometry._SELF_PROBS
-    assert a not in table and b not in table
+    assert "self_probabilities" not in vars(a) and "self_probabilities" not in vars(b)
     assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
-    kept = [table[a], table[b]]  # each pair measures its first state's self-overlap first
+    kept = [vars(a)["self_probabilities"], vars(b)["self_probabilities"]]
     for rho, probs in zip((a, b), kept):
         assert not probs.flags.writeable
-        assert _hex(probs) == _hex(povm_probabilities(rho, rho))
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0] = 0.5
+        # povm_probabilities itself still hands out a fresh, writable array
+        again = povm_probabilities(rho, rho)
+        assert again.flags.writeable and not np.shares_memory(again, probs)
+        assert _hex(again) == _hex(probs)
     assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
     with oracles.under_a_tracer():
         assert [_hsd_outcome(x, y, noise, key) for x, y in pairs] == fresh
-    assert table[a] is kept[0] and table[b] is kept[1]
+    assert a.self_probabilities is kept[0] and b.self_probabilities is kept[1]
 
 
 def test_self_probabilities_go_with_their_states(monkeypatch):
-    # the table keeps no state alive: it is empty once its states are
-    # dropped, also after a simulated k-means run, whose every distance
-    # measures two self-overlaps
+    # a state's kept probabilities keep nothing alive: they are gone once
+    # their states are dropped, also after a simulated k-means run, whose
+    # every distance measures two self-overlaps
     from qhsd.clustering import SimulatedHsdBackend, kmeans, two_gaussian_demo
 
-    table = weakref.WeakKeyDictionary()
-    monkeypatch.setattr(interferometry, "_SELF_PROBS", table)
     rng = np.random.default_rng(8)
     rhos = [random_mixed(2 ** n, rng) for n in range(1, MAX_QUBITS + 1) for _ in range(2)]
     for a, b in zip(rhos[::2], rhos[1::2]):
         measure_hsd(a, b, NoiseModel("binomial", 1000, 0))
-    assert len(table) == len(rhos)
+    kept = [weakref.ref(obj) for rho in rhos for obj in (rho, vars(rho)["self_probabilities"])]
     del rhos, a, b
     gc.collect()
-    assert len(table) == 0
-    computed = []
+    assert [ref() for ref in kept] == [None] * len(kept)
+    computed, kept = [], []
 
     def counted(x, y):
         computed.append(x is y)
-        return povm_probabilities(x, y)
+        probs = povm_probabilities(x, y)
+        if x is y:
+            kept.extend([weakref.ref(x), weakref.ref(probs)])
+        return probs
 
     monkeypatch.setattr(interferometry, "povm_probabilities", counted)
+    monkeypatch.setattr("qhsd.states.povm_probabilities", counted)
     backend = SimulatedHsdBackend(NoiseModel("binomial", 1000, 0))
     result = kmeans(two_gaussian_demo(12, seed=1), 2, max_iter=3, backend=backend)
     # each point's and each iteration's centroids' once, against two per distance
     assert 0 < sum(computed) <= 12 + 2 * result.iterations < len(computed)
     gc.collect()
-    assert len(table) == 0
+    assert [ref() for ref in kept] == [None] * len(kept)
 
 
 @st.composite

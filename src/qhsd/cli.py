@@ -63,14 +63,17 @@ def parse_state_spec(spec: str) -> DensityMatrix:
 
 def _inline_json(spec: str) -> dict:
     """bell:phi+ -> {"named": "bell", "params": {"kind": "phi+"}},
-    werner:p=0.5 -> {"named": "werner", "params": {"p": "0.5"}}."""
+    werner:p=0.5 -> {"named": "werner", "params": {"p": 0.5}}: a `key=value`
+    value goes in as the number the CSV cell rule reads (_parse_cell), or as
+    its text when that rule reads none."""
     name, _, arg = spec.partition(":")
     if not arg:
         return {"named": name}
     if name in _POSITIONAL:
-        return {"named": name, "params": {states.NAMED_PARAMS[name]: arg}}
+        return {"named": name, "params": {states.NAMED_STATES[name][0]: arg}}
     key, _, value = arg.partition("=")
-    return {"named": name, "params": {key: value}}
+    number = _parse_cell(value)
+    return {"named": name, "params": {key: value if number is None else number}}
 
 
 def _overlap_dict(est: interferometry.OverlapEstimate) -> dict:
@@ -146,14 +149,22 @@ def cmd_simulate(a: DensityMatrix, b: DensityMatrix, args, noise: NoiseModel) ->
     }
 
 
-def _parse_cell(cell: str) -> Optional[float]:
-    """The cell's number, or None.  float() would also read digit
-    underscores, as in 1_0e-2, and non-ASCII digits, as in a full-width 1,
-    which no CSV number has."""
+def _parse_cell(cell: str, kind=float):
+    """kind(cell), a float by default, or None.  float() and int() would also
+    read digit underscores, as in 1_0e-2, and non-ASCII digits, as in a
+    full-width 1, which no CSV number has."""
     try:
-        return None if "_" in cell or not cell.isascii() else float(cell)
+        return None if "_" in cell or not cell.isascii() else kind(cell)
     except ValueError:
         return None
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, read by the CSV cell rule."""
+    n = _parse_cell(text, int)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return n
 
 
 def _read_points_csv(path: str) -> np.ndarray:
@@ -257,9 +268,9 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=NoiseModel.seed,
+    p.add_argument("--seed", type=_integer, default=NoiseModel.seed,
                    help="master RNG seed (default %(default)s)")
-    p.add_argument("--shots", type=int, default=NoiseModel.shots, help="trials per POVM configuration")
+    p.add_argument("--shots", type=_integer, default=NoiseModel.shots, help="trials per POVM configuration")
     p.add_argument(
         "--noise", choices=list(interferometry.NOISE_MODES), default=NoiseModel.mode,
         help="counting-statistics model",
@@ -290,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="k-means over a point-cloud CSV")
     p.add_argument("points")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--backend", choices=list(clustering.BACKEND_KINDS), default="euclidean")
-    p.add_argument("--max-iter", type=int, default=100, dest="max_iter")
+    p.add_argument("--max-iter", type=_integer, default=100, dest="max_iter")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     _add_common(p)
     p.set_defaults(func=cmd_cluster)

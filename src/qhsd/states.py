@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -308,40 +309,37 @@ def povm_probabilities(rho1: DensityMatrix, rho2: DensityMatrix) -> np.ndarray:
 # either {"dim": D, "re": [[...]], "im": [[...]]}
 # or     {"named": "bell|separable|werner|horodecki|mixed", "params": {...}}
 
-# The one parameter each named state takes.
-NAMED_PARAMS = {"bell": "kind", "separable": "bits", "werner": "p", "horodecki": "q", "mixed": "dim"}
-
-
-def _number(obj: dict, key: str, default=None) -> float:
-    value = obj.get(key, default)
-    try:
-        if not isinstance(value, bool):  # float() would read a boolean as 0 or 1
-            return float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+def _number(value, key: str):
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):  # a bool is an int, 0 or 1
+        return value
     raise StateError(f"{key} must be a number, got {value!r}")
 
 
+# Each named state's one parameter, its default (None: required) and its
+# builder.  p and q must be real numbers (_number), as re/im entries must;
+# dim must be an integer, also as a whole float such as an inline 8 reads
+# (8.0); bell's kind and separable's bits are checked by their builders.
+NAMED_STATES = {
+    "bell": ("kind", None, make_bell),
+    "separable": ("bits", None, make_separable),
+    "werner": ("p", None, lambda p: make_werner(_number(p, "p"))),
+    "horodecki": ("q", None, lambda q: make_horodecki(_number(q, "q"))),
+    "mixed": ("dim", 4, lambda dim: maximally_mixed(
+        int(dim) if isinstance(dim, float) and dim.is_integer() else dim
+    )),
+}
+
+
 def _named_state(name, params) -> DensityMatrix:
-    if not isinstance(name, str) or name not in NAMED_PARAMS:
+    if not isinstance(name, str) or name not in NAMED_STATES:
         raise StateError(f"unknown named state {name!r}")
     if not isinstance(params, dict):
         raise StateError(f"params of {name} must be an object, got {params!r}")
-    unknown = [key for key in params if key != NAMED_PARAMS[name]]
+    param, default, build = NAMED_STATES[name]
+    unknown = [key for key in params if key != param]
     if unknown:
         raise StateError(f"{name} takes no parameter {unknown[0]!r}")
-    if name == "bell":
-        return make_bell(params.get("kind"))
-    if name == "separable":
-        return make_separable(params.get("bits"))
-    if name == "werner":
-        return make_werner(_number(params, "p"))
-    if name == "horodecki":
-        return make_horodecki(_number(params, "q"))
-    dim = _number(params, "dim", 4)
-    if not dim.is_integer():
-        raise StateError(f"dim must be an integer, got {params['dim']!r}")
-    return maximally_mixed(int(dim))
+    return build(params.get(param, default))
 
 
 def state_from_json(obj) -> DensityMatrix:
@@ -371,6 +369,6 @@ def state_from_json(obj) -> DensityMatrix:
     with np.errstate(invalid="ignore"):  # 1j * inf; from_array refuses the result
         m = re + 1j * im
     rho = DensityMatrix.from_array(m)
-    if "dim" in obj and _number(obj, "dim") != rho.dim:
+    if "dim" in obj and _number(obj["dim"], "dim") != rho.dim:
         raise StateError("declared dim does not match matrix shape")
     return rho

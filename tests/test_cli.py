@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import string
 import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,15 @@ def test_unparseable_spec_exit_code(capsys):
     {"dim": 4, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
     {"re": [[1, 0, 0]], "im": [[0, 0, 0]]},
     {"re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]},
+    # an inline number follows the CSV cell rule: no digit underscores, ASCII digits only
+    "werner:p=0.2_5",
+    "werner:p=\uff10.\uff15",
+    "horodecki:q=\u0660.\u0665",
+    "mixed:dim=1_6",
+    # a JSON parameter value must be a JSON number, as re/im entries must
+    {"named": "werner", "params": {"p": "0.5"}},
+    {"named": "mixed", "params": {"dim": "4"}},
+    {"dim": "2", "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]},
 ])
 def test_malformed_state_exit_code(tmp_path, capsys, state):
     if not isinstance(state, str):
@@ -131,7 +142,47 @@ def test_malformed_state_exit_code(tmp_path, capsys, state):
     code, out, err = run(capsys, "distance", state, state)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: state {state!r}: ")
+
+
+# (inline, named JSON) rows of the README's state-spec table
+_README_SPECS = re.findall(
+    r"^\| `([^`]+)` +\| `(\{[^`]+\})`",
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+    re.M,
+)
+
+
+@pytest.mark.parametrize("inline, named", _README_SPECS, ids=[inline for inline, _ in _README_SPECS])
+def test_readme_inline_spec_builds_its_json_form(inline, named):
+    # an inline value is handed over as the number the JSON form holds, so the matrices are bit-equal
+    expected = states.state_from_json(json.loads(named)).matrix
+    assert cli.parse_state_spec(inline).matrix.tobytes() == expected.tobytes()
+
+
+def test_readme_lists_every_named_state_inline():
+    # also keeps the test above from passing on an empty parametrization if the table's layout changes
+    assert sorted({inline.partition(":")[0] for inline, _ in _README_SPECS}) == sorted(states.NAMED_STATES)
+
+
+_SIMULATED = ["distance", "werner:p=0.3", "werner:p=0.7", "--mode", "simulated", "--noise", "binomial"]
+_CLUSTER = ["cluster", "POINTS", "--out-dir", "OUT"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_SIMULATED, "--shots", "1_000"),
+    (_SIMULATED, "--shots", "\u0661\u0660\u0660\u0660"),
+    (_SIMULATED, "--seed", "\uff13"),
+    (_CLUSTER, "--k", "\uff12"),
+    (_CLUSTER + ["--k", "2"], "--max-iter", "1_0"),
+], ids=["shots-underscore", "shots-arabic-indic", "seed-full-width", "k-full-width", "max-iter-underscore"])
+def test_integer_flags_follow_the_cell_rule(capsys, argv, flag, value):
+    # int() reads all of these; argparse refuses them before any work
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: invalid integer value: {value!r}" in err
 
 
 @pytest.mark.parametrize("state, key", [

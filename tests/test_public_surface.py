@@ -8,12 +8,13 @@ from qhsd import encoding, interferometry, states
 # CoincidenceCounts became OverlapEstimate.counts; min_eigenvalues became
 # encoding.check_encodable; singlet_projector is
 # make_bell(BellKind.PSI_MINUS).matrix; GeneratorBasis became the stack that
-# generator_basis returns, with I/D from maximally_mixed; the others had no
-# CLI path.
+# generator_basis returns, with I/D from maximally_mixed; NAMED_PARAMS became
+# states.NAMED_STATES; the others had no CLI path.
 REMOVED = {
     "CoincidenceCounts",
     "EnsembleSpec",
     "GeneratorBasis",
+    "NAMED_PARAMS",
     "ensemble_measure",
     "embed_hypercube",
     "estimate_overlap",

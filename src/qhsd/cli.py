@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import List, Optional, Sequence
@@ -191,12 +192,31 @@ def _read_points_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
+# The cells _write_csv writes as repr(float(x)), and the characters for which
+# csv quotes any other cell.
+_NUMBERS = (int, float, np.floating)
+_QUOTED = re.compile(r'[,"\r\n]')
+
+
+def _text_cell(x) -> str:
+    """str(x) as csv's excel dialect writes it: quoted, inner quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    text = str(x)
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Header, then rows.  A number cell goes in as float(x), which csv writes
-    with repr; a numpy float would print as np.float64(...)."""
+    """Header, then rows, in one write and byte for byte as csv.writer writes
+    them: cells joined by commas, each row ending in \\r\\n.  A number cell is
+    repr(float(x)), since a numpy float would print as np.float64(...).  (csv
+    would also quote a row whose one cell is empty; every table here has two
+    columns or more.)"""
+    lines = [
+        ",".join([repr(float(x)) if isinstance(x, _NUMBERS) else _text_cell(x) for x in row])
+        for row in (header, *rows)
+    ]
     with open(path, "w", newline="") as fh:
-        cells = ([float(x) if isinstance(x, (int, float, np.floating)) else x for x in row] for row in rows)
-        csv.writer(fh).writerows([header, *cells])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_dir: str) -> None:
@@ -206,7 +226,7 @@ def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_
     _write_csv(
         os.path.join(out_dir, "labels.csv"),
         ["index", "label"],
-        [(i, int(l)) for i, l in enumerate(result.labels)],
+        enumerate(result.labels.tolist()),
     )
     model = {
         "backend": backend.kind,
@@ -251,7 +271,7 @@ def cmd_reproduce(args, noise: NoiseModel) -> None:
             _write_csv(f"{path}{suffix}.csv", [""] + names, rows)
     elif target in _GRIDS:
         header, factory = _GRIDS[target]
-        grid = np.linspace(0.0, 1.0, 21)
+        grid = np.linspace(0.0, 1.0, 21).tolist()
         mats_a = [states.make_werner(x) for x in grid]
         mats_b = [getattr(states, factory)(y) for y in grid]
         tables = _pair_tables(mats_a, mats_b, lambda a, b: states.hsd_exact(a, b) ** 2, noise)
@@ -277,8 +297,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a refused flag or argument as a StateError, so that main reports
+    it as it reports any bad input: one `error:` line and exit 2.  Subparsers
+    take the class of their parent."""
+
+    def error(self, message: str):
+        raise StateError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhsd",
         description="Hilbert-Schmidt distances between two-qubit states: exact "
         "values, simulated interferometric measurement, and HSD-based k-means.",
@@ -318,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.func(args, NoiseModel(args.noise, args.shots, args.seed))
         return EXIT_OK
     except (ValueError, OSError) as exc:

@@ -8,9 +8,9 @@ overlap estimator is kept as first written, on a plain sequence of rates
 with the mode and shots passed separately.  The exact overlap and the HSD
 are kept with every product written as `@`, and the CSV writer with its
 per-cell `repr` formatting, as the library had them before it took its
-small products through `ndarray.dot` and its CSV rows through one
-`writerows`.  Two-qubit k-means data, the paper's own setting,
-is drawn here too, since no CLI target uses it.  The bit-identity tests
+small products through `ndarray.dot` and wrote each CSV file as one
+string.  Two-qubit k-means data, the paper's own setting, is drawn here
+too, since no CLI target uses it.  The bit-identity tests
 share two harnesses: one runs code under a tracer, the other records the
 states the count draws seed their streams with.
 """

@@ -177,12 +177,8 @@ _CLUSTER = ["cluster", "POINTS", "--out-dir", "OUT"]
     (_CLUSTER + ["--k", "2"], "--max-iter", "1_0"),
 ], ids=["shots-underscore", "shots-arabic-indic", "seed-full-width", "k-full-width", "max-iter-underscore"])
 def test_integer_flags_follow_the_cell_rule(capsys, argv, flag, value):
-    # int() reads all of these; argparse refuses them before any work
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, flag, value])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert f"error: argument {flag}: invalid integer value: {value!r}" in err
+    # int() reads all of these; argparse refuses them before any work, in one line
+    assert run(capsys, *argv, flag, value) == (2, "", f"error: argument {flag}: invalid integer value: {value!r}\n")
 
 
 @pytest.mark.parametrize("state, key", [
@@ -295,7 +291,8 @@ _STATE_OBJECTS = st.one_of(
 
 
 def _main_code(argv):
-    """Exit code of cli.main; argparse's own usage exit counts as a code."""
+    """Exit code of cli.main.  A spec that argparse reads as -h prints the
+    help and exits through SystemExit(0); that exit counts as a code."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return cli.main(argv)
@@ -791,7 +788,9 @@ def test_reproduce_grids_match_seed_loops(tmp_path, capsys, target, noise):
 # Rows that _write_csv and the per-cell repr formatter it replaced must write
 # to the same bytes: Python ints and bools, numpy integers and floats, signed
 # zero, non-finite and subnormal floats, and string cells (the state tables'
-# header starts with an empty cell), as ndarray-derived rows and as tuples.
+# header starts with an empty cell; csv quotes a cell holding a comma, a quote,
+# \r or \n), as ndarray-derived rows and as tuples, and a block the shape of
+# points.csv.
 _SPECIAL = np.array([[0.1, -0.0, np.nan], [np.inf, -np.inf, 5e-324], [1e308, -2.5, 0.0]])
 _CSV_CASES = {
     "tolist": (["x1", "x2", "x3"], _SPECIAL.tolist()),
@@ -803,6 +802,8 @@ _CSV_CASES = {
     "numpy_floats": (["a", "b"], [(np.float64(-0.0), np.float64(np.nan)), (np.float64(0.1), np.float64(5e-324))]),
     "bell_table": ([""] + cli.BELL_ORDER, [["phi+", 0.0, 2.0], ["phi-", np.float64(2.0), -0.0]]),
     "strings": (["s", "t"], [("a,b", ""), ('say "hi"', "nan"), ("", float("inf"))]),
+    "line_breaks": (["s", "t\n"], [("a\rb", "c\nd"), ("a\r\nb", '"\r')]),
+    "points_1000": (["x1", "x2", "x3"], np.random.default_rng(0).standard_normal((1000, 3))),
 }
 
 

@@ -210,11 +210,12 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
     them: cells joined by commas, each row ending in \\r\\n.  A number cell is
     repr(float(x)), since a numpy float would print as np.float64(...).  (csv
     would also quote a row whose one cell is empty; every table here has two
-    columns or more.)"""
+    columns or more.)  The directory is made here, so a refused run makes none."""
     lines = [
         ",".join([repr(float(x)) if isinstance(x, _NUMBERS) else _text_cell(x) for x in row])
         for row in (header, *rows)
     ]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -222,7 +223,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 def _cluster(points: np.ndarray, backend, k: int, seed: int, max_iter: int, out_dir: str) -> None:
     """k-means over the points (kmeans checks them); writes labels.csv and model.json."""
     result = clustering.kmeans(points, k, init_seed=seed, max_iter=max_iter, backend=backend)
-    os.makedirs(out_dir, exist_ok=True)
     _write_csv(
         os.path.join(out_dir, "labels.csv"),
         ["index", "label"],
@@ -259,7 +259,6 @@ def _pair_tables(mats_a, mats_b, exact_d2, noise: NoiseModel) -> List[List[List[
 
 
 def cmd_reproduce(args, noise: NoiseModel) -> None:
-    os.makedirs(args.out_dir, exist_ok=True)
     target = args.target
     path = os.path.join(args.out_dir, target)
     if target in _TABLES:

@@ -12,14 +12,17 @@ small products through `ndarray.dot` and wrote each CSV file as one
 string.  Two-qubit k-means data, the paper's own setting, is drawn here
 too, since no CLI target uses it.  The bit-identity tests
 share two harnesses: one runs code under a tracer, the other records the
-states the count draws seed their streams with.
+states the count draws seed their streams with.  Tests that start a child
+interpreter share its environment.
 """
 
 import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
+from pathlib import Path
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -28,6 +31,13 @@ import pytest
 from qhsd import interferometry
 from qhsd.encoding import safe_radius
 from qhsd.states import BellKind, DensityMatrix, StateError, _check_qubit_dim, make_bell
+
+
+def src_env() -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, for a child
+    interpreter that imports qhsd."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:

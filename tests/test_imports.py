@@ -3,12 +3,13 @@ every private top-level name src/ defines is read in src/: a helper that only
 tests call belongs in tests/oracles.py."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -103,11 +104,8 @@ def test_private_scan_finds_names_no_module_reads():
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy.random is imported on the first stochastic draw, not by `import qhsd`
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
-    )}
     code = "import sys, qhsd.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
 

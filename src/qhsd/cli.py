@@ -58,8 +58,10 @@ def parse_state_spec(spec: str) -> DensityMatrix:
         else:
             obj = _inline_json(spec)
         return states.state_from_json(obj)
-    except (ValueError, RecursionError) as exc:  # an OSError is an I/O failure, not a bad state
+    except (ValueError, RecursionError) as exc:
         raise StateError(f"state {spec!r}: {exc}") from None
+    except OSError as exc:  # an I/O failure (exit 4), not a bad state, named as state errors are
+        raise OSError(f"state {spec!r}: {exc}") from None
 
 
 def _inline_json(spec: str) -> dict:
@@ -166,6 +168,13 @@ def _integer(text: str) -> int:
     if n is None:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
     return n
+
+
+def _out_dir(text: str) -> str:
+    """An --out-dir value; an empty one names no directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty directory name")
+    return text
 
 
 def _read_points_csv(path: str) -> np.ndarray:
@@ -332,13 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--backend", choices=list(clustering.BACKEND_KINDS), default="euclidean")
     p.add_argument("--max-iter", type=_integer, default=100, dest="max_iter")
-    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--out-dir", type=_out_dir, required=True, dest="out_dir")
     _add_common(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("reproduce", help="regenerate the reference tables and grids")
     p.add_argument("target", choices=list(REPRODUCE_TARGETS))
-    p.add_argument("--out-dir", required=True, dest="out_dir")
+    p.add_argument("--out-dir", type=_out_dir, required=True, dest="out_dir")
     _add_common(p)
     p.set_defaults(func=cmd_reproduce)
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from qhsd.encoding import check_encodable, encode, feature_array
+from qhsd.encoding import encode, feature_array, lend
 from qhsd.interferometry import NoiseModel, measure_hsd
 from qhsd.states import StateError, check_integer, hsd_exact
 
@@ -161,11 +162,10 @@ def kmeans(
     Distinct points whose bounding-box diagonal squares below
     sys.float_info.min raise StateError too: every squared distance between
     them loses bits or flushes to 0.0, and labels would tie to centroid 0.
-    check_encodable builds every point's state in one batch, and each
-    iteration's centroids are checked and built in one more.  Only
-    check_encodable builds the states encode returns, and the run holds
-    them, so the assign loop's encode calls find them in encode's memo with
-    no second check; they are released when kmeans returns."""
+    encoding.lend checks and builds every point's state in one batch and
+    lends it for the run, and each iteration's centroids in one more batch
+    for that iteration, so the assign loop's encode calls find them with no
+    second check; when kmeans returns or raises, none of them is lent."""
     k = check_integer(k, "k", 1)
     max_iter = check_integer(max_iter, "max_iter", 1)
     if backend is None:
@@ -174,41 +174,41 @@ def kmeans(
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if bad.size:
         raise StateError(f"point row {bad[0]} is not finite: {points[bad[0]].tolist()}")
-    hsd = backend.kind != "euclidean"
-    # checked states held so that assign's encode calls find them by their bytes
-    point_states = check_encodable(points) if hsd else None
-    patience = 3 if backend.kind == "hsd_simulated" else 1
-    rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))
-    centroids = _init_centroids(points, k, rng)
-    # Every centroid is a point or a mean of points, so no squared distance, centroid
-    # sum or cost exceeds n (diagonal^2 + largest |coordinate|) of the points' bounding
-    # box; Python floats make an overflow of that bound inf, with no RuntimeWarning.
-    lo, hi = points.min(axis=0).tolist(), points.max(axis=0).tolist()
-    diagonal = math.hypot(*(h - l for h, l in zip(hi, lo)))
-    if not math.isfinite(len(points) * (diagonal * diagonal + max(map(abs, lo + hi), default=0.0))):
-        row = int(np.abs(points).max(axis=1).argmax())
-        raise StateError(f"point row {row} is too large for k-means: {points[row].tolist()}")
-    # Nor does any squared distance exceed diagonal^2, so below the smallest normal
-    # float every one has lost bits or flushed to 0.0.
-    if diagonal and diagonal * diagonal < sys.float_info.min:
-        raise StateError(f"points are too close for k-means: their bounding box's diagonal is {diagonal!r}")
-    trace: List[np.ndarray] = [centroids.copy()]
-    labels = None
-    stable = 0
-    for it in range(max_iter):
-        centroid_states = check_encodable(centroids) if hsd else None
-        new_labels, dists = assign(points, centroids, backend, it)
-        cost = float(dists[np.arange(points.shape[0]), new_labels].sum())
-        if labels is not None and np.array_equal(labels, new_labels):
-            stable += 1
-            if stable >= patience:
-                break
-        else:
-            stable = 0
-        labels = new_labels
-        centroids = update_centroids(points, labels, centroids)
-        trace.append(centroids.copy())
-    return KMeansResult(centroids, labels, it + 1, cost, tuple(trace))
+    # the euclidean backend encodes nothing, so its points need not be encodable
+    lending = (lambda rows: nullcontext()) if backend.kind == "euclidean" else lend
+    with lending(points):
+        patience = 3 if backend.kind == "hsd_simulated" else 1
+        rng = np.random.default_rng(check_integer(init_seed, "init_seed", 0))
+        centroids = _init_centroids(points, k, rng)
+        # Every centroid is a point or a mean of points, so no squared distance, centroid
+        # sum or cost exceeds n (diagonal^2 + largest |coordinate|) of the points' bounding
+        # box; Python floats make an overflow of that bound inf, with no RuntimeWarning.
+        lo, hi = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+        diagonal = math.hypot(*(h - l for h, l in zip(hi, lo)))
+        if not math.isfinite(len(points) * (diagonal * diagonal + max(map(abs, lo + hi), default=0.0))):
+            row = int(np.abs(points).max(axis=1).argmax())
+            raise StateError(f"point row {row} is too large for k-means: {points[row].tolist()}")
+        # Nor does any squared distance exceed diagonal^2, so below the smallest normal
+        # float every one has lost bits or flushed to 0.0.
+        if diagonal and diagonal * diagonal < sys.float_info.min:
+            raise StateError(f"points are too close for k-means: their bounding box's diagonal is {diagonal!r}")
+        trace: List[np.ndarray] = [centroids.copy()]
+        labels = None
+        stable = 0
+        for it in range(max_iter):
+            with lending(centroids):
+                new_labels, dists = assign(points, centroids, backend, it)
+            cost = float(dists[np.arange(points.shape[0]), new_labels].sum())
+            if labels is not None and np.array_equal(labels, new_labels):
+                stable += 1
+                if stable >= patience:
+                    break
+            else:
+                stable = 0
+            labels = new_labels
+            centroids = update_centroids(points, labels, centroids)
+            trace.append(centroids.copy())
+        return KMeansResult(centroids, labels, it + 1, cost, tuple(trace))
 
 
 # The demo's blob centres, their spread, and the radius the points stay within.

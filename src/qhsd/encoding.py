@@ -10,8 +10,8 @@ which is what lets k-means run on density matrices unchanged.
 from __future__ import annotations
 
 import math
-import weakref
-from typing import List, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
@@ -42,11 +42,10 @@ def _matrices(u: np.ndarray) -> np.ndarray:
     return maximally_mixed(2 ** n).matrix + np.einsum("...i,ijk->...jk", u, generator_basis(n))
 
 
-# Encoded states keyed by their vector's float64 bytes, each kept only while
-# something else holds it.  Only check_encodable stores here, so every state
-# in the memo is checked; k-means holds the states it returns, so the
-# per-pair encode calls of its assign loop find them here.
-_MEMO: weakref.WeakValueDictionary[bytes, DensityMatrix] = weakref.WeakValueDictionary()
+# Checked states lent to encode, keyed by their vector's float64 bytes.  Only
+# lend writes here, and each lend removes what it added, so the table is
+# empty outside a lend: k-means lends its points and centroids for the run.
+_LENT: Dict[bytes, DensityMatrix] = {}
 
 _SHAPES = {1: "a feature vector", 2: "a (points, features) array"}
 
@@ -69,11 +68,10 @@ def check_encodable(points) -> List[DensityMatrix]:
     """Raise EncodingError for the first row u of `points` whose encode(u)
     is not a state: smallest eigenvalue below EIGENVALUE_TOL, or NaN when
     the matrix is not finite (one batched eigendecomposition covers the rest).
-    Once every row passes, return the rows' states from this one batch,
-    kept in encode's memo for as long as the caller holds them; a row whose
-    state the memo still holds gets that state back, and no state is built
-    for it.  A refused batch stores nothing.  Input that feature_array
-    refuses raises StateError, as in kmeans."""
+    Once every row passes, return the rows' states from this one batch; a
+    row that is lent gets the lent state back, and no state is built for
+    it, and repeated rows share one state.  Nothing is stored.  Input that
+    feature_array refuses raises StateError, as in kmeans."""
     points = feature_array(points, 2)
     m = _matrices(points)
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -85,25 +83,44 @@ def check_encodable(points) -> List[DensityMatrix]:
             f"point row {bad[0]} encodes outside the state space: "
             f"min eigenvalue {lam[bad[0]]:.3e}"
         )
+    built: Dict[bytes, DensityMatrix] = {}
     held = []
     for u, mat in zip(points, m):
         key = u.tobytes()
-        rho = _MEMO.get(key)
+        rho = _LENT.get(key, built.get(key))
         if rho is None:
-            rho = _MEMO[key] = DensityMatrix(mat)
+            rho = built[key] = DensityMatrix(mat)
         held.append(rho)
     return held
+
+
+@contextmanager
+def lend(points) -> Iterator[List[DensityMatrix]]:
+    """Yield check_encodable(points), with each row's state lent to encode
+    by the row's float64 bytes until the block exits, however it exits.
+    A row that is already lent keeps the state it has, and on exit exactly
+    the keys this lend added are removed.  A refused batch lends nothing."""
+    points = feature_array(points, 2)
+    rhos = check_encodable(points)
+    added = {key: rho for key, rho in zip(map(np.ndarray.tobytes, points), rhos) if key not in _LENT}
+    _LENT.update(added)
+    try:
+        yield rhos
+    finally:
+        for key in added:
+            # a lend of the same row in another thread may have taken it back
+            # already; encode then checks that row anew, with the same result
+            _LENT.pop(key, None)
 
 
 def encode(u: Sequence[float]) -> DensityMatrix:
     """rho = I/D + sum_i u_i G_i, checked as check_encodable(u[None]) checks it.
 
-    A vector with the same float64 bytes as a checked one whose state is
-    still held somewhere gets that shared, read-only DensityMatrix back
-    without a second check, so k-means, which holds its points' and
-    centroids' states, builds and checks each matrix once per run.
+    A vector with the same float64 bytes as a lent one gets the lent,
+    read-only DensityMatrix back without a second check, so k-means, which
+    lends its points' and centroids' states, builds and checks each matrix
+    once per run.  Outside a lend every call builds and checks a new state.
     """
     u = feature_array(u, 1)
-    rho = _MEMO.get(u.tobytes())
+    rho = _LENT.get(u.tobytes())
     return check_encodable(u[None])[0] if rho is None else rho
-

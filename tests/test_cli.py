@@ -256,9 +256,16 @@ _CONTRACT = [
         ("bell_table", ["reproduce", "bell_table", "--out-dir", "out"], "(0, 1, 0)"),
         ("werner_grid", ["reproduce", "werner_grid", "--out-dir", "out"], "(0, 1, 0)"),
     ]],
-    ("io-state-is-directory", {}, ["distance", ".", "bell:phi+"], 4, "error: [Errno 21] Is a directory: '.'\n"),
+    ("io-state-is-directory", {}, ["distance", ".", "bell:phi+"], 4,
+     "error: state '.': [Errno 21] Is a directory: '.'\n"),
     ("io-out-is-directory", {}, ["distance", "bell:phi+", "bell:phi-", "--out", "."], 4,
      "error: [Errno 21] Is a directory: '.'\n"),
+    # an empty --out-dir names no directory: refused while parsing, before any work
+    *[(f"out-dir-empty-{argv[0]}", _POINTS, argv + ["--out-dir", ""], 2,
+       "error: argument --out-dir: empty directory name\n") for argv in [
+        ["cluster", "points.csv", "--k", "2", "--backend", "hsd_exact"],
+        ["reproduce", "clusters_demo"],
+    ]],
     ("io-missing-points", {}, ["cluster", "missing.csv", "--k", "2", "--out-dir", "out"], 4,
      "error: [Errno 2] No such file or directory: 'missing.csv'\n"),
     ("io-out-dir-below-file", {"file": ""}, ["reproduce", "bell_table", "--out-dir", "file/sub"], 4,

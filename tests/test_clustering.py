@@ -255,7 +255,6 @@ def test_encode_memo_holds_the_demo_point_set(monkeypatch):
     # each iteration's centroids once, in one batch, not each point once per
     # iteration.
     points = two_gaussian_demo(1000, seed=0)
-    encoding._MEMO.clear()
     built = _built_rows(monkeypatch)
     result = kmeans(points, 2, init_seed=0, backend=ExactHsdBackend())
     assert built[0] == 1000 and set(built[1:]) == {2}
@@ -267,14 +266,13 @@ def test_encode_memo_holds_the_demo_point_set(monkeypatch):
     (SimulatedHsdBackend(NoiseModel("binomial", 1000, 0)), 2),
 ], ids=["hsd_exact", "hsd_simulated"])
 def test_kmeans_builds_a_large_point_set_once(monkeypatch, backend, max_iter):
-    # Above any fixed memo size: 3000 points are built once per run and each
-    # iteration's centroids once, and the memo keeps none of them after it.
+    # At any size: 3000 points are built once per run and each iteration's
+    # centroids once, and none of them is lent after the run.
     points = two_gaussian_demo(3000, seed=1)
     built = _built_rows(monkeypatch)
     result = kmeans(points, 2, init_seed=0, max_iter=max_iter, backend=backend)
     assert built == [3000] + [2] * result.iterations
-    rows = np.vstack([points, *result.centroid_trace])
-    assert not any(u.tobytes() in encoding._MEMO for u in rows)
+    assert encoding._LENT == {}
 
 
 def _built_states(monkeypatch):

@@ -1,6 +1,5 @@
-import gc
+import contextlib
 import itertools
-import weakref
 
 import numpy as np
 import pytest
@@ -8,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhsd import encoding, states
-from qhsd.clustering import kmeans
+from qhsd.clustering import SimulatedHsdBackend, kmeans
 from qhsd.encoding import (
     EncodingError,
     _n_qubits_for_length,
     check_encodable,
     encode,
+    lend,
     safe_radius,
 )
+from qhsd.interferometry import EstimationError, NoiseModel
 from qhsd.states import (
     BellKind,
     StateError,
@@ -227,7 +228,7 @@ def test_encode_matches_seed_formula(n):
 
 
 def _seed_encode(u):
-    """The matrix of encode as it was before the memo: no cache, no check."""
+    """The matrix of encode as the seed built it: no lent state, no check."""
     u = np.asarray(u, dtype=float)
     n = _n_qubits_for_length(u.shape[0])
     d = 2 ** n
@@ -254,20 +255,26 @@ def _vectors(draw, n=None):
     pool=st.lists(_vectors(), min_size=1, max_size=6),
     order=st.lists(st.integers(0, 5), min_size=1, max_size=40),
 )
-def test_encode_memo_matches_seed_formula(pool, order):
+def test_encode_in_a_lend_matches_seed_formula(pool, order):
     # repeats of a few vectors of mixed sizes, interleaved as k-means calls
-    # them; the states are held, so a repeat is a memo hit
-    held = []
-    for i in order:
-        u = pool[i % len(pool)]
-        expected = _seed_encode(u)
-        if np.linalg.eigvalsh(expected)[0] < -1e-9:
-            with pytest.raises(EncodingError):
-                encode(u)
-            assert np.array(u).tobytes() not in encoding._MEMO
-        else:
-            held.append(encode(np.array(u)))
-            assert held[-1].matrix.tobytes() == expected.tobytes()
+    # them; each encodable vector is lent, in a batch of its own length, so
+    # a repeat gets the lent state back
+    with contextlib.ExitStack() as lends:
+        lent = {}
+        for u in pool:
+            if np.linalg.eigvalsh(_seed_encode(u))[0] >= -1e-9:
+                lent[np.array(u).tobytes()] = lends.enter_context(lend([u]))[0]
+        for i in order:
+            u = pool[i % len(pool)]
+            key = np.array(u).tobytes()
+            if key not in lent:
+                with pytest.raises(EncodingError):
+                    encode(u)
+                assert key not in encoding._LENT
+            else:
+                assert encode(np.array(u)) is lent[key]
+                assert lent[key].matrix.tobytes() == _seed_encode(u).tobytes()
+    assert encoding._LENT == {}
 
 
 @st.composite
@@ -325,11 +332,15 @@ def test_encode_refuses_nan():
 
 
 def test_encode_returns_shared_read_only_matrix():
+    # shared while lent; outside a lend each call builds an equal new state
     u = np.array([0.1, -0.2, 0.05])
-    rho = encode(u)
-    assert encode(u.copy()) is rho
-    assert not rho.matrix.flags.writeable
-    assert encode(-u) is not rho
+    with lend([u]) as (rho,):
+        assert encode(u.copy()) is rho
+        assert not rho.matrix.flags.writeable
+        assert encode(-u) is not rho
+    fresh = encode(u)
+    assert fresh is not rho and fresh is not encode(u)
+    assert fresh.matrix.tobytes() == rho.matrix.tobytes() and not fresh.matrix.flags.writeable
 
 
 def test_encode_refuses_an_unencodable_vector_on_every_call():
@@ -337,12 +348,24 @@ def test_encode_refuses_an_unencodable_vector_on_every_call():
     for _ in range(3):
         with pytest.raises(EncodingError, match="^point row 0 encodes outside the state space: min eigenvalue"):
             encode(u)
-        assert u.tobytes() not in encoding._MEMO
+        assert encoding._LENT == {}
 
 
-def test_encode_of_a_held_state_is_a_memo_hit_with_no_check(monkeypatch):
+def _built_states(monkeypatch):
+    """Every DensityMatrix built from now on."""
+    built = []
+    post_init = states.DensityMatrix.__post_init__
+
+    def counted(rho):
+        built.append(rho)
+        post_init(rho)
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+    return built
+
+
+def test_encode_of_a_lent_state_runs_no_check_and_builds_no_state(monkeypatch):
     u = np.array([0.1, -0.2, 0.05])
-    held = encode(u)
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -351,11 +374,14 @@ def test_encode_of_a_held_state_is_a_memo_hit_with_no_check(monkeypatch):
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for _ in range(3):
-        assert encode(u.copy()) is held
-    assert calls == []
-    encode(-u)  # a miss is checked
-    assert calls == [(1, 2, 2)]
+    built = _built_states(monkeypatch)
+    with lend([u]) as lent:
+        assert (calls, built) == ([(1, 2, 2)], lent)
+        for _ in range(3):
+            assert encode(u.copy()) is lent[0]
+        assert (calls, built) == ([(1, 2, 2)], lent)
+        miss = encode(-u)  # a vector that is not lent is checked and built
+        assert (calls, built) == ([(1, 2, 2)] * 2, [*lent, miss])
 
 
 @pytest.mark.parametrize(
@@ -365,54 +391,44 @@ def test_encode_of_a_held_state_is_a_memo_hit_with_no_check(monkeypatch):
 )
 def test_complex_features_are_refused(entry):
     # the imaginary part is not dropped with a warning: the input is refused
-    before = len(encoding._MEMO)
     with pytest.raises(StateError, match="^expected real features, got dtype complex128$"):
         entry(np.array([[0.1j, 0.0, 0.0], [0.0, 0.0, 0.0]]))
-    assert len(encoding._MEMO) == before
+    assert encoding._LENT == {}
 
 
 def test_encode_cache_stays_bounded():
-    # the memo keeps no state alive: it holds what its callers hold, however
-    # many vectors pass through it
-    gc.collect()
-    before = len(encoding._MEMO)
+    # the lent table is empty outside a lend, however many vectors pass
+    # through encode, and holds a lent batch only until its block exits,
+    # also when the block raises
     xs = np.linspace(-0.1, 0.1, 4096)
     for x in xs:
         encode([x, 0.0, 0.0])
-        assert len(encoding._MEMO) <= before
-    # a checked batch is stored only while its returned states are held
+        assert encoding._LENT == {}
     stack = xs[:, None] * [0.0, 1.0, 0.0]
-    held = check_encodable(stack)
-    assert len(encoding._MEMO) == before + len(xs)
-    state = weakref.ref(held[0])
-    del held
-    gc.collect()
-    # the entry goes with its state's last reference
-    assert state() is None
-    assert len(encoding._MEMO) == before
-    assert not any(u.tobytes() in encoding._MEMO for u in stack)
+    with lend(stack) as lent:
+        assert encoding._LENT == {u.tobytes(): rho for u, rho in zip(stack, lent)}
+    assert encoding._LENT == {}
+    with pytest.raises(KeyError):
+        with lend(stack):
+            raise KeyError("inside the block")
+    assert encoding._LENT == {}
 
 
-def test_encode_memo_drops_states_nothing_holds():
-    u = np.array([0.3, 0.0, 0.0])
-    held = check_encodable(np.array([u, -u]))
-    first = encode(u)
-    assert first is held[0]
-    del held
-    xs = np.linspace(-0.1, 0.1, 4096)
-    for x in xs:
-        encode([0.0, 0.0, x])
-        # while the state is held, encode finds it by its bytes
-        assert encode(u.copy()) is first
-    # the vectors nothing holds are gone, the checked -u among them
-    gc.collect()
-    assert np.array([0.0, 0.0, xs[0]]).tobytes() not in encoding._MEMO
-    assert (-u).tobytes() not in encoding._MEMO
-    state = weakref.ref(first)
-    del first
-    gc.collect()
-    assert state() is None
-    assert u.tobytes() not in encoding._MEMO
+def test_a_lend_removes_exactly_the_keys_it_added():
+    # a nested lend keeps the states already lent and takes back only its
+    # own keys; a refused batch lends nothing
+    u, w = np.array([0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.1])
+    with lend([u, -u]) as outer:
+        with lend([w, u]) as inner:
+            assert inner[1] is outer[0] and encode(w) is inner[0]
+            assert list(encoding._LENT) == [u.tobytes(), (-u).tobytes(), w.tobytes()]
+        assert encoding._LENT == {u.tobytes(): outer[0], (-u).tobytes(): outer[1]}
+        with pytest.raises(EncodingError, match="^point row 1 encodes outside the state space"):
+            with lend([w, [0.9, 0.0, 0.0]]):
+                pass  # not reached
+        assert encoding._LENT == {u.tobytes(): outer[0], (-u).tobytes(): outer[1]}
+        assert encode(u.copy()) is outer[0]
+    assert encoding._LENT == {}
 
 
 @pytest.mark.parametrize("u", [
@@ -424,22 +440,21 @@ def test_encode_memo_drops_states_nothing_holds():
 ])
 def test_encode_non_vector_raises_as_before(u):
     # every non-1-D input gets the shape StateError, not whatever numpy raises first
-    before = len(encoding._MEMO)
     with pytest.raises(StateError) as got:
         encode(u)
     assert str(got.value) == f"expected a feature vector, got shape {np.shape(u)}"
-    assert len(encoding._MEMO) == before
 
 
 @pytest.mark.parametrize("points", [0.1, np.zeros(3), np.zeros((2, 1, 3))])
 def test_check_encodable_non_stack_raises_as_kmeans_does(points):
     # a scalar, a vector and a 3-D stack get kmeans' shape StateError, not
-    # numpy's AxisError or IndexError, and store nothing
-    before = list(encoding._MEMO.items())
-    with pytest.raises(StateError) as got:
-        check_encodable(points)
-    assert str(got.value) == f"expected a (points, features) array, got shape {np.shape(points)}"
-    assert list(encoding._MEMO.items()) == before
+    # numpy's AxisError or IndexError, from check_encodable and from lend
+    for entry in (check_encodable, lend):
+        with pytest.raises(StateError) as got:
+            with entry(points):
+                pass  # not reached
+        assert str(got.value) == f"expected a (points, features) array, got shape {np.shape(points)}"
+        assert encoding._LENT == {}
 
 
 @st.composite
@@ -452,51 +467,57 @@ def _repeating_stacks(draw):
     return np.array([pool[i % len(pool)] for i in order])
 
 
-def _check_batch_memo(points):
+def _check_lend(points):
     expected = [_seed_encode(u) for u in points]
-    before = list(encoding._MEMO.items())
     if any(np.linalg.eigvalsh(m)[0] < -1e-9 for m in expected):
         with pytest.raises(EncodingError):
-            check_encodable(points)
-        assert list(encoding._MEMO.items()) == before  # a refused batch stores nothing
+            with lend(points):
+                pass  # not reached
+        assert encoding._LENT == {}  # a refused batch lends nothing
         return
-    states = check_encodable(points)  # held: the memo keeps a state only while it is held
-    for u, m, held in zip(points, expected, states):
-        rho = encoding._MEMO[u.tobytes()]
-        assert rho is held
-        assert rho.matrix.tobytes() == m.tobytes()  # bit for bit, signed zeros included
-        assert encode(u) is rho
+    with lend(points) as lent:
+        for u, m, rho in zip(points, expected, lent):
+            assert encoding._LENT[u.tobytes()] is rho
+            assert rho.matrix.tobytes() == m.tobytes()  # bit for bit, signed zeros included
+            assert encode(u) is rho
+        # repeated rows share one state
+        assert len({id(rho) for rho in lent}) == len({u.tobytes() for u in points})
+    assert encoding._LENT == {}
 
 
 @settings(max_examples=80, deadline=None)
 @given(points=_repeating_stacks())
-def test_check_encodable_stores_the_seed_formula(points):
-    _check_batch_memo(points)
+def test_lent_states_match_the_seed_formula(points):
+    _check_lend(points)
 
 
-def test_check_encodable_stores_its_bits_under_a_tracer():
+def test_lent_states_match_the_seed_formula_under_a_tracer():
     points = np.array([[0.1, -0.0, 0.0], [0.0, 0.2, -0.1], [0.1, -0.0, 0.0], [-0.0, 0.0, 0.0]])
     with under_a_tracer():
-        encoding._MEMO.clear()
-        _check_batch_memo(points)
-        _check_batch_memo(np.vstack([points, [0.9, 0.0, 0.0]]))
+        _check_lend(points)
+        _check_lend(np.vstack([points, [0.9, 0.0, 0.0]]))
 
 
 def test_check_encodable_builds_no_state_for_a_held_row(monkeypatch):
-    # a row whose state the memo holds gets that state back with no
-    # DensityMatrix built for it; a new row builds one, shared by its repeats
-    built = []
-    post_init = states.DensityMatrix.__post_init__
-
-    def counted(rho):
-        built.append(rho)
-        post_init(rho)
-
-    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+    # a row that is lent gets the lent state back with no DensityMatrix
+    # built for it; a new row builds one, shared by its repeats, and the
+    # batch lends nothing
+    built = _built_states(monkeypatch)
     u, v, w = [0.0123, -0.0, 0.0], [0.0, 0.0456, 0.0], [0.0, 0.0, -0.0789]
-    held = check_encodable([u, v])
-    assert built == held
-    again = check_encodable([v, u, w, w])
-    assert again[:2] == held[::-1] and again[2] is again[3]
-    assert built == [*held, again[2]]
-    assert encode(u) is held[0] and len(built) == 3
+    with lend([u, v]) as held:
+        assert built == held
+        again = check_encodable([v, u, w, w])
+        assert again[:2] == held[::-1] and again[2] is again[3]
+        assert built == [*held, again[2]]
+        assert encode(u) is held[0] and len(built) == 3
+        assert list(encoding._LENT.values()) == held
+    assert encoding._LENT == {}
+
+
+def test_kmeans_that_raises_leaves_nothing_lent():
+    # one shot per configuration under poisson leaves f_II = 0 in the first
+    # distance, inside the run's lends
+    points = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    with pytest.raises(EstimationError, match="^f_II = 0 at stream key "):
+        kmeans(points, 2, backend=SimulatedHsdBackend(NoiseModel("poisson", 1, 0)))
+    assert encoding._LENT == {}
